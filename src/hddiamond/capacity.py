@@ -21,7 +21,8 @@ infinite).  ``hd_capacity`` computes the reduced game directly; see its
 docstring for what that means for the reported schedule.
 
 Everything runs in either float64 or exact ``Fraction`` arithmetic through
-the same self-contained simplex engine; the game is solved by deterministic
+the same self-contained simplex engine and the same numpy cut scans (on
+object arrays in exact mode); the game is solved by deterministic
 strategy generation (grow small cut/state subsets by exact best-response
 scans), so the full ``2**n x 2**n`` payoff matrix is never materialized.
 """
@@ -148,54 +149,44 @@ def _net_is_exact(net: DiamondNetwork) -> bool:
 # O(n * 2^n).  Every cut/state payoff is then two table lookups:
 #     value(A, s) = maxl[A & ~s] + maxr[s & ~A].
 
-def _tables_float(net: DiamondNetwork) -> tuple[np.ndarray, np.ndarray]:
+def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(maxl, maxr) as float64 arrays, or as object arrays of ``Fraction`` and
+    ``UNBOUNDED`` when exact.  The dtype carries the arithmetic mode from here
+    on: every scan below is the same numpy code in either mode."""
+    def scalar(v: LinkValue) -> LinkValue:
+        if not exact:
+            return float(v)
+        return UNBOUNDED if is_unbounded(v) else Fraction(v)
+
     def build(vals: Sequence[LinkValue]) -> np.ndarray:
-        table = np.zeros(1)
+        table = np.array([scalar(0)])
         for v in vals:
-            table = np.concatenate([table, np.maximum(table, float(v))])
+            table = np.concatenate([table, np.maximum(table, scalar(v))])
         return table
 
     return build(net.uplinks), build(net.downlinks)
 
 
-def _tables_exact(net: DiamondNetwork) -> tuple[list, list]:
-    def build(vals: Sequence[LinkValue]) -> list:
-        table: list = [Fraction(0)]
-        for v in vals:
-            x = UNBOUNDED if is_unbounded(v) else Fraction(v)
-            table = table + [x if x > t else t for t in table]
-        return table
-
-    return build(net.uplinks), build(net.downlinks)
-
-
-def _cut_values_float(
+def _cut_values(
     n: int, maxl: np.ndarray, maxr: np.ndarray, items: Iterable[tuple[int, LinkValue]]
 ) -> np.ndarray:
-    """Scheduled value of every cut mask under the given (state, prob) items."""
+    """Scheduled value of every cut mask under the given (state, prob) items.
+
+    With the two tables swapped, the same scan gives the value of every
+    state under a (cut, prob) mixture, since ``value(A, s) = maxl[A & ~s] +
+    maxr[s & ~A]`` is symmetric in that swap.
+    """
     size = 1 << n
     cuts = np.arange(size)
-    acc = np.zeros(size)
+    acc = np.full(size, maxl[0])  # the zero of the tables' arithmetic
+    scalar = maxl.dtype.type  # float64, or the identity on object arrays
     for s, p in items:
-        acc += float(p) * (maxl[cuts & (size - 1 - s)] + maxr[s & (size - 1 - cuts)])
+        # In place, so that at most one term array is alive besides acc.
+        term = maxl[cuts & (size - 1 - s)]
+        term += maxr[s & (size - 1 - cuts)]
+        term *= scalar(p)
+        acc += term
     return acc
-
-
-def _cut_values_exact(
-    n: int, maxl: list, maxr: list, items: Sequence[tuple[int, LinkValue]]
-) -> list:
-    size = 1 << n
-    out = []
-    for cut in range(size):
-        total: LinkValue = Fraction(0)
-        for s, p in items:
-            entry = maxl[cut & ~s] + maxr[s & ~cut & (size - 1)]
-            if is_unbounded(entry):
-                total = UNBOUNDED
-                break
-            total = total + p * entry
-        out.append(total)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,53 +227,33 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is over {sched.n} relays, network has {net.n}")
-    items = list(sched.items())
-    if _net_is_exact(net) and sched.is_exact:
-        maxl, maxr = _tables_exact(net)
-        vals = _cut_values_exact(net.n, maxl, maxr, items)
-        best = min(vals)
-        return RateValue(best, vals.index(best))
-    maxl, maxr = _tables_float(net)
-    vals = _cut_values_float(net.n, maxl, maxr, items)
+    exact = _net_is_exact(net) and sched.is_exact
+    maxl, maxr = _tables(net, exact)
+    vals = _cut_values(net.n, maxl, maxr, sched.items())
     cut = int(np.argmin(vals))
-    return RateValue(float(vals[cut]), cut)
+    return RateValue(vals[cut] if exact else float(vals[cut]), cut)
 
 
 # ---------------------------------------------------------------------------
 # Full-duplex capacity
 # ---------------------------------------------------------------------------
 
-def _fd_values(net: DiamondNetwork):
-    """(values per cut mask, exact?) for the FD cut function."""
-    if _net_is_exact(net):
-        maxl, maxr = _tables_exact(net)
-        size = 1 << net.n
-        return [maxl[a] + maxr[size - 1 - a] for a in range(size)], True
-    maxl, maxr = _tables_float(net)
-    return maxl + maxr[::-1], False
-
-
 def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     """Full-duplex cut-set capacity: min over cuts A of (best uplink in A +
     best downlink outside A).  Enumerates all ``2**n`` cuts; use
     :func:`fd_capacity_fast` for large networks.
     """
-    vals, exact = _fd_values(net)
-    if exact:
-        value = min(vals)
-        if is_unbounded(value):
-            tight: tuple[int, ...] = (0,)
-        else:
-            tight = tuple(a for a, v in enumerate(vals) if v == value)
+    exact = _net_is_exact(net)
+    maxl, maxr = _tables(net, exact)
+    vals = maxl + maxr[::-1]
+    value = vals.min()
+    if value == UNBOUNDED:
+        tight: tuple[int, ...] = (0,)
     else:
-        value = float(np.min(vals))
-        if math.isinf(value):
-            tight = (0,)
-        else:
-            tol = 1e-12 * max(1.0, abs(value))
-            tight = tuple(int(a) for a in np.nonzero(vals <= value + tol)[0])
+        tol = 0 if exact else 1e-12 * max(1.0, abs(value))
+        tight = tuple(int(a) for a in np.flatnonzero(vals <= value + tol))
     return CapacityResult(
-        value=value,
+        value=value if exact else float(value),
         optimal_schedule=None,
         tight_cuts=tight,
         arithmetic="rational" if exact else "float",
@@ -468,17 +439,9 @@ def hd_capacity(
 
     size = 1 << n
     arith = "rational" if exact else "float"
-
-    if exact:
-        maxl, maxr = _tables_exact(net)
-        fdv = [maxl[a] + maxr[size - 1 - a] for a in range(size)]
-        kept = [a for a in range(size) if not is_unbounded(fdv[a])]
-    else:
-        maxl, maxr = _tables_float(net)
-        fdv_arr = maxl + maxr[::-1]
-        kept = [int(a) for a in np.nonzero(np.isfinite(fdv_arr))[0]]
-
-    if not kept:
+    maxl, maxr = _tables(net, exact)
+    kept = (maxl + maxr[::-1]) != UNBOUNDED
+    if not kept.any():
         # Every cut has infinite FD value, so the HD value is infinite too
         # (any schedule with full support certifies it).
         return CapacityResult(
@@ -488,13 +451,12 @@ def hd_capacity(
             arithmetic=arith,
         )
 
-    kept_set = set(kept)
     eps = Fraction(0) if exact else 1e-11
 
     # Strategy generation: start from the bookend cuts and the natural
     # two-phase states, then alternate exact best-response scans with small
     # sub-game solves until neither side can improve.
-    cut_pool = sorted({kept[0], kept[-1]})
+    cut_pool = sorted({int(a) for a in np.flatnonzero(kept)[[0, -1]]})
     state_pool = {0, size - 1}
     if n >= 2:
         state_pool.update(gen_two_phase_schedule(n).support)
@@ -517,41 +479,17 @@ def hd_capacity(
 
         # Scheduler's certificate: minimum over kept cuts of the scheduled
         # cut value (for finite nets this IS the fixed-schedule rate).
-        items = sorted(probs.items())
-        if exact:
-            cut_vals = _cut_values_exact(n, maxl, maxr, items)
-            value, best_cut = None, -1
-            for a in kept:
-                v = cut_vals[a]
-                if value is None or v < value:
-                    value, best_cut = v, a
-        else:
-            cut_vals = _cut_values_float(n, maxl, maxr, items)
-            masked = cut_vals.copy()
-            masked[[a for a in range(size) if a not in kept_set]] = np.inf
-            best_cut = int(np.argmin(masked))
-            value = float(masked[best_cut])
+        cut_vals = np.where(
+            kept, _cut_values(n, maxl, maxr, sorted(probs.items())), UNBOUNDED
+        )
+        best_cut = int(np.argmin(cut_vals))
+        value = cut_vals[best_cut]
 
         # Adversary's certificate: maximum over states of the cut-mixture
         # averaged value.
-        if exact:
-            best_state, state_val = 0, None
-            for s in range(size):
-                v = Fraction(0)
-                for a, w in cut_probs.items():
-                    v += w * _entry(maxl, maxr, size, a, s)
-                if state_val is None or v > state_val:
-                    state_val, best_state = v, s
-        else:
-            states_arr = np.arange(size)
-            acc = np.zeros(size)
-            for a, w in cut_probs.items():
-                acc += float(w) * (
-                    maxl[a & (size - 1 - states_arr)]
-                    + maxr[states_arr & (size - 1 - a)]
-                )
-            best_state = int(np.argmax(acc))
-            state_val = float(acc[best_state])
+        state_vals = _cut_values(n, maxr, maxl, cut_probs.items())
+        best_state = int(np.argmax(state_vals))
+        state_val = state_vals[best_state]
 
         grew = False
         if best_cut not in cut_pool and value < state_val - eps:
@@ -563,14 +501,11 @@ def hd_capacity(
         if not grew:
             break
 
-    if exact:
-        tight = tuple(a for a in kept if cut_vals[a] == value)
-    else:
-        tol = 1e-9 * max(1.0, abs(value))
-        tight = tuple(a for a in kept if cut_vals[a] <= value + tol)
+    tol = 0 if exact else 1e-9 * max(1.0, abs(value))
+    tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= value + tol))
 
     return CapacityResult(
-        value=value,
+        value=value if exact else float(value),
         optimal_schedule=Schedule(n, probs),
         tight_cuts=tight,
         arithmetic=arith,
@@ -596,14 +531,8 @@ def dual_capacity(
     if n > guard:
         raise GuardExceeded(f"dual_capacity on {n} relays exceeds guard {guard}")
     size = 1 << n
-
-    if exact:
-        maxl, maxr = _tables_exact(net)
-        fdv = [maxl[a] + maxr[size - 1 - a] for a in range(size)]
-        kept = [a for a in range(size) if not is_unbounded(fdv[a])]
-    else:
-        maxl, maxr = _tables_float(net)
-        kept = [int(a) for a in np.nonzero(np.isfinite(maxl + maxr[::-1]))[0]]
+    maxl, maxr = _tables(net, exact)
+    kept = [int(a) for a in np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)]
 
     arith = "rational" if exact else "float"
     if not kept:
@@ -618,12 +547,8 @@ def dual_capacity(
     # subset-max tables turns the scheduled-cut-value kernel into exactly
     # this state-indexed average, so the certificate shares the primal
     # certificate's code path rather than trusting the LP's own objective.
-    items = sorted(cut_probs.items())
-    if exact:
-        value = max(_cut_values_exact(n, maxr, maxl, items))
-    else:
-        value = float(np.max(_cut_values_float(n, maxr, maxl, items)))
-    return DualCapacity(value, cut_probs, arith)
+    value = _cut_values(n, maxr, maxl, sorted(cut_probs.items())).max()
+    return DualCapacity(value if exact else float(value), cut_probs, arith)
 
 
 def sparsify_schedule(
@@ -652,15 +577,13 @@ def sparsify_schedule(
     target = float(target_value)
     size = 1 << n
 
-    maxl, maxr = _tables_float(net)
-    kept = [int(a) for a in np.nonzero(np.isfinite(maxl + maxr[::-1]))[0]]
-    if not kept:
+    maxl, maxr = _tables(net, False)
+    kept = np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)
+    if not kept.size:
         return None
-    kept_set = set(kept)
 
     def kept_min(sched_probs: dict[int, float]) -> float:
-        vals = _cut_values_float(n, maxl, maxr, sorted(sched_probs.items()))
-        return min(vals[a] for a in kept)
+        return _cut_values(n, maxl, maxr, sorted(sched_probs.items()))[kept].min()
 
     def blend_down(probs: dict[int, float]) -> dict[int, float] | None:
         # The restricted game beat the target; walk the rate down by mixing
@@ -702,12 +625,7 @@ def sparsify_schedule(
         return Schedule(n, probs)
 
     dual = dual_capacity(net)
-    col = np.zeros(size)
-    states_arr = np.arange(size)
-    for a, w in dual.cut_probs.items():
-        col += float(w) * (
-            maxl[a & (size - 1 - states_arr)] + maxr[states_arr & (size - 1 - a)]
-        )
+    col = _cut_values(n, maxr, maxl, dual.cut_probs.items())
     tight_states = [int(s) for s in np.nonzero(col >= float(dual.value) - 1e-7)[0]]
 
     tried: set[tuple[int, ...]] = set()

@@ -14,28 +14,30 @@ Subcommands:
 * ``sweep``    — CSV of full capacity vs. best-subnetwork value across a
   range of sizes for a generated family.
 
-Exit codes: 0 success; 2 bad input or usage; 3 a size guard refused the
-computation; 4 a proven bound was violated numerically.  All outputs are
-deterministic given the same inputs (verify reports include wall-clock
-seconds, which naturally vary).
+Exit codes: 0 success; 1 a verify suite found failures; 2 bad input or
+usage; 3 a size guard refused the computation; 4 a proven bound was
+violated numerically; 5 the LP engine failed (``SolverFailure``).  All
+outputs are deterministic given the same inputs (verify reports include
+wall-clock seconds, which naturally vary).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from .capacity import (
-    _net_is_exact,
     fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
     hd_capacity,
 )
-from .errors import BoundViolation, GuardExceeded, NetworkFormatError
+from .errors import BoundViolation, GuardExceeded, NetworkFormatError, SolverFailure
 from .network import (
     UNBOUNDED,
     DiamondNetwork,
@@ -186,13 +188,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _certified_capacity(net: DiamondNetwork):
-    """Full value via the LP when allowed, else the exact two-sided pin
-    (schedule rate from below, FD bound from above) when it closes."""
-    exact = _net_is_exact(net)
+    """Full value of an exact network via the LP when allowed, else the
+    two-sided pin (schedule rate from below, FD bound from above) when it
+    closes."""
     try:
-        return hd_capacity(net, "rational" if exact else "float").value
+        return hd_capacity(net, "rational").value
     except GuardExceeded:
-        if exact and net.n >= 2:
+        if net.n >= 2:
             lower = fixed_schedule_rate(net, gen_two_phase_schedule(net.n)).value
             upper = fd_capacity_fast(net)
             if lower == upper:
@@ -220,22 +222,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise GuardExceeded(
                 f"sweep at n={n}, k={k} needs {n} choose {k} subnetwork solves"
             )
-        from itertools import combinations
-
-        arith = "rational" if _net_is_exact(net) else "float"
         best = None
         for positions in combinations(range(1, n + 1), k):
-            v = hd_capacity(net.subnetwork(positions), arith).value
+            v = hd_capacity(net.subnetwork(positions), "rational").value
             if best is None or v > best:
                 best = v
         if is_unbounded(full):
             fraction = 1 if is_unbounded(best) else 0
         elif full == 0:
-            fraction = Fraction(1) if arith == "rational" else 1.0
-        elif arith == "rational":
-            fraction = Fraction(best) / Fraction(full)
+            fraction = Fraction(1)
         else:
-            fraction = float(best) / float(full)
+            fraction = Fraction(best) / Fraction(full)
         rows.append(
             (
                 n,
@@ -244,8 +241,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 value_to_json(fraction),
             )
         )
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["N", "C_full", "best_value", "fraction"])
@@ -334,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except BoundViolation as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 4
+    except SolverFailure as exc:
+        print(f"solver: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -325,6 +325,51 @@ class TestSparsify:
 # Independent oracle: tiny networks, dense LP via scipy
 # ---------------------------------------------------------------------------
 
+class TestOutputTypes:
+    """Exact results stay Fraction/int (or UNBOUNDED), float results stay
+    Python float, and every mask is a Python int, not a numpy integer."""
+
+    @staticmethod
+    def assert_masks(masks):
+        assert all(type(m) is int for m in masks)
+
+    def test_exact_and_float_result_types(self):
+        exact_value = lambda v: type(v) in (F, int) or v == UNBOUNDED
+        for net in (gen_worst_case(5), gen_half_tight(4)):
+            hd = hd_capacity(net, "rational")
+            assert exact_value(hd.value)
+            assert all(type(p) is F for p in hd.optimal_schedule.probs.values())
+            self.assert_masks(hd.tight_cuts)
+            self.assert_masks(hd.optimal_schedule.probs)
+            rate = fixed_schedule_rate(net, gen_two_phase_schedule(net.n))
+            assert exact_value(rate.value)
+            self.assert_masks([rate.min_cut])
+            fd = fd_capacity(net)
+            assert exact_value(fd.value)
+            self.assert_masks(fd.tight_cuts)
+            dual = dual_capacity(net, "rational")
+            assert exact_value(dual.value)
+            assert all(type(p) is F for p in dual.cut_probs.values())
+            self.assert_masks(dual.cut_probs)
+
+        net = gen_random(5, seed=3)
+        hd = hd_capacity(net)
+        assert type(hd.value) is float
+        assert all(type(p) is float for p in hd.optimal_schedule.probs.values())
+        self.assert_masks(hd.tight_cuts)
+        self.assert_masks(hd.optimal_schedule.probs)
+        rate = fixed_schedule_rate(net, hd.optimal_schedule)
+        assert type(rate.value) is float
+        self.assert_masks([rate.min_cut])
+        fd = fd_capacity(net)
+        assert type(fd.value) is float
+        self.assert_masks(fd.tight_cuts)
+        dual = dual_capacity(net)
+        assert type(dual.value) is float
+        assert all(type(p) is float for p in dual.cut_probs.values())
+        self.assert_masks(dual.cut_probs)
+
+
 class TestBruteForceOracle:
     def test_matches_scipy_dense_game(self):
         scipy_opt = pytest.importorskip("scipy.optimize")

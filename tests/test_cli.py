@@ -97,6 +97,19 @@ class TestCapacity:
         assert code == 2
         assert "error:" in err
 
+    def test_solver_failure_exits_5(self, capsys, tmp_path):
+        # A magnitude spread of 1e14 that the float simplex cannot settle;
+        # rational arithmetic solves the same input.
+        path = tmp_path / "wide.json"
+        path.write_text('{"l": [1e-7, 1e-3, 1, 1e-7, 3], "r": [1e7, 1e3, 1e7, 0.5, 1]}')
+        code, out, err = run(capsys, "capacity", "--network", str(path))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("solver: ")
+        code, out, _ = run(capsys, "capacity", "--network", str(path), "--exact")
+        assert code == 0
+        assert F(json.loads(out)["value"]) > 0
+
     def test_guard_exits_3(self, capsys, tmp_path):
         path = tmp_path / "big.json"
         run(capsys, "generate", "--family", "random", "--n", "17", "-o", str(path))
