@@ -313,14 +313,16 @@ def single_relay_capacity(l: LinkValue, r: LinkValue) -> LinkValue:
 
 def _normalized_floor_lp(a_ub: list[list], exact: bool):
     """Optimal x of ``max sum(x)  s.t.  A x <= 1, x >= 0`` for a matrix with
-    every entry >= 1, returned as ``(1/sum(x), x/sum(x))``.
+    every entry >= 1, returned as ``(1/sum(x), x/sum(x), w/sum(w))`` where
+    w are the optimal row prices of the same solve.
 
     This is the shift-normalized matrix-game workhorse: the all-slack basis
     is feasible (rhs is all ones, never the degenerate all-zeros of the
     value-variable formulation), there are no equality rows, no free
     variables, and no phase-1 artificials, so the float tableau stays well
-    conditioned.  Entries >= 1 make the LP bounded: each constraint row
-    alone caps sum(x) at 1.
+    conditioned and the final objective row carries the dual solution:
+    ``A^T w >= 1, w >= 0`` with ``sum(w) = sum(x)``.  Entries >= 1 make the
+    LP bounded: each constraint row alone caps sum(x) at 1.
     """
     rows = len(a_ub)
     cols = len(a_ub[0])
@@ -331,10 +333,11 @@ def _normalized_floor_lp(a_ub: list[list], exact: bool):
     total = sum(res.x)
     if total <= 0:
         raise SolverFailure("game LP returned an empty mixture")
-    return one / total, [x / total for x in res.x]
+    prices = sum(res.duals)
+    return one / total, [x / total for x in res.x], [w / prices for w in res.duals]
 
 
-def _unit_scaled(matrix: list[list]) -> tuple[list[list], float]:
+def _unit_scaled(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Rescale a float payoff table so its largest magnitude falls in
     [1/2, 1), returning ``(scaled, scale)``.
 
@@ -345,17 +348,17 @@ def _unit_scaled(matrix: list[list]) -> tuple[list[list], float]:
     dividing everything by a power of two (lossless in binary floating
     point) fixes the conditioning without touching the result.
     """
-    top = max(abs(v) for row in matrix for v in row)
+    top = np.abs(matrix).max()
     if top == 0 or not math.isfinite(top):
         return matrix, 1.0
     scale = math.ldexp(1.0, math.frexp(top)[1])
-    return [[v / scale for v in row] for row in matrix], scale
+    return matrix / scale, scale
 
 
-def _game_primal(matrix: list[list], exact: bool):
-    """Value and maximizing column mixture of a finite matrix game where
-    the column player picks a mixture q over columns to maximize the
-    worst row average ``min_i (G q)_i``.
+def _game_primal(matrix: np.ndarray, exact: bool):
+    """Value, maximizing column mixture and minimizing row mixture of a
+    finite matrix game where the column player picks a mixture q over
+    columns to maximize the worst row average ``min_i (G q)_i``.
 
     Derivation: a mixture q guarantees floor V exactly when
     ``(K - G) q <= (K - V) * 1`` for any constant K, so with K large enough
@@ -364,36 +367,37 @@ def _game_primal(matrix: list[list], exact: bool):
     sum(x) is optimality of the floor.  (Solving ``(G + K) x <= 1`` instead
     would yield the *ceiling*-minimizing mixture of the transposed game:
     the guarantee direction lives in the constraint sense, not the
-    objective.)
+    objective.)  The row mixture comes from the same solve's final prices:
+    ``(K - G)^T w >= 1`` with ``sum(w) = 1/(K - V)``, so ``p = w/sum(w)``
+    caps every column average ``(p^T G)_j`` at V.
     """
     one = Fraction(1) if exact else 1.0
     scale = 1.0
     if not exact:
         matrix, scale = _unit_scaled(matrix)
-    shift = one + max(max(row) for row in matrix)
-    a_ub = [[shift - v for v in row] for row in matrix]
-    inv, weights = _normalized_floor_lp(a_ub, exact)
+    shift = one + matrix.max()
+    inv, cols, rows = _normalized_floor_lp((shift - matrix).tolist(), exact)
     value = shift - inv
-    return (value if exact else scale * value), weights
+    return (value if exact else scale * value), cols, rows
 
 
-def _game_dual(matrix: list[list], exact: bool):
+def _game_dual(matrix: np.ndarray, exact: bool):
     """Value and minimizing row mixture of the same game: the mixture p
     over rows minimizing the best column average ``max_j (p^T G)_j``.
 
     Symmetric derivation: p caps the ceiling at V exactly when
     ``(G + K)^T p <= (V + K) * 1``, so the normalized LP over the shifted
     transpose returns ``1/sum(x) = V + K`` and ``p = x/sum(x)``.
+    :func:`_game_primal` reads the same mixture off its own final prices;
+    this separate transposed solve serves :func:`dual_capacity` as an
+    independent route to the value.
     """
-    rows = len(matrix)
-    cols = len(matrix[0])
     one = Fraction(1) if exact else 1.0
     scale = 1.0
     if not exact:
         matrix, scale = _unit_scaled(matrix)
-    shift = one - min(min(row) for row in matrix)
-    a_ub = [[matrix[i][j] + shift for i in range(rows)] for j in range(cols)]
-    inv, weights = _normalized_floor_lp(a_ub, exact)
+    shift = one - matrix.min()
+    inv, weights, _ = _normalized_floor_lp((matrix + shift).T.tolist(), exact)
     value = inv - shift
     return (value if exact else scale * value), weights
 
@@ -407,8 +411,12 @@ def _clean_weights(masks: Sequence[int], weights: Sequence, exact: bool) -> dict
     return out
 
 
-def _entry(maxl, maxr, size: int, cut: int, state: int) -> LinkValue:
-    return maxl[cut & (size - 1 - state)] + maxr[state & (size - 1 - cut)]
+def _payoff(maxl: np.ndarray, maxr: np.ndarray, cuts, states) -> np.ndarray:
+    """The payoff matrix ``value(cut, state)`` over the given cut rows and
+    state columns, gathered from the subset-max tables in one step."""
+    cuts, states = np.asarray(cuts), np.asarray(states)
+    return (maxl[np.bitwise_and.outer(cuts, ~states)]
+            + maxr[np.bitwise_and.outer(~cuts, states)])
 
 
 def hd_capacity(
@@ -455,7 +463,9 @@ def hd_capacity(
 
     # Strategy generation: start from the bookend cuts and the natural
     # two-phase states, then alternate exact best-response scans with small
-    # sub-game solves until neither side can improve.
+    # sub-game solves until neither side can improve.  One LP per round
+    # gives both mixtures: the schedule from its solution, the cut mixture
+    # from its final prices.
     cut_pool = sorted({int(a) for a in np.flatnonzero(kept)[[0, -1]]})
     state_pool = {0, size - 1}
     if n >= 2:
@@ -469,11 +479,8 @@ def hd_capacity(
         rounds += 1
         if rounds > 4 * size + 8:
             raise SolverFailure("strategy generation failed to converge")
-        matrix = [
-            [_entry(maxl, maxr, size, a, s) for s in state_pool] for a in cut_pool
-        ]
-        _, lam = _game_primal(matrix, exact)
-        _, mu = _game_dual(matrix, exact)
+        matrix = _payoff(maxl, maxr, cut_pool, state_pool)
+        _, lam, mu = _game_primal(matrix, exact)
         probs = _clean_weights(state_pool, lam, exact)
         cut_probs = _clean_weights(cut_pool, mu, exact)
 
@@ -538,7 +545,7 @@ def dual_capacity(
     if not kept:
         return DualCapacity(UNBOUNDED, {}, arith)
 
-    matrix = [[_entry(maxl, maxr, size, a, s) for s in range(size)] for a in kept]
+    matrix = _payoff(maxl, maxr, kept, np.arange(size))
     _lp_value, mu = _game_dual(matrix, exact)
     cut_probs = _clean_weights(kept, mu, exact)
 
@@ -606,9 +613,9 @@ def sparsify_schedule(
         return None
 
     def attempt(states: tuple[int, ...]) -> Schedule | None:
-        matrix = [[_entry(maxl, maxr, size, a, s) for s in states] for a in kept]
+        matrix = _payoff(maxl, maxr, kept, states)
         try:
-            value, lam = _game_primal(matrix, False)
+            value, lam, _ = _game_primal(matrix, False)
         except SolverFailure:
             return None
         if value < target - tol:

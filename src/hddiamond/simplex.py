@@ -5,7 +5,9 @@ external solver.  Two interchangeable arithmetic modes share one code path:
 float64 (numpy) and exact rational (``fractions.Fraction`` in object
 arrays).  The programs this package generates are matrix-game programs with
 at most a few thousand rows/columns, so a dense tableau is the simple and
-fast-enough choice.
+fast-enough choice.  An optimal all-slack-start LP also reports its dual
+solution, read off the final objective row, so one solve yields both
+players' mixtures of a matrix game.
 
 Pivoting: Dantzig's most-negative-reduced-cost entering rule with a
 deterministic lowest-index tie-break, and the lexicographic minimum-ratio
@@ -29,9 +31,15 @@ __all__ = ["LPResult", "solve_lp"]
 
 @dataclass(frozen=True)
 class LPResult:
+    """``duals`` are the optimal row prices ``w >= 0`` of the ``A_ub`` rows:
+    ``c + A_ub^T w >= 0`` and ``b_ub . w == -objective``.  They are reported
+    only for an optimal LP that started from the all-slack basis (``<=`` rows
+    with ``b_ub >= 0`` and no equality rows); otherwise they are None."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float | Fraction | None
     x: tuple | None
+    duals: tuple | None = None
 
     @property
     def ok(self) -> bool:
@@ -79,15 +87,22 @@ class _Mode:
             return np.full(cols, Fraction(0), dtype=object)
         return np.zeros(cols)
 
+    def values(self, vals: Sequence) -> np.ndarray:
+        if self.exact:
+            return np.array([self.num(v) for v in vals], dtype=object)
+        return np.array(vals, dtype=float)
+
 
 def _pivot(t: np.ndarray, obj: np.ndarray | None, basis: list[int], row: int, col: int) -> None:
     piv = t[row, col]
     if t.dtype != object and -_EPS_ZERO_RHS < t[row, -1] < _EPS_ZERO_RHS:
         t[row, -1] = 0.0  # keep a degenerate pivot exactly degenerate
     t[row] = t[row] / piv
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0:
-            t[i] = t[i] - t[i, col] * t[row]
+    rows = np.flatnonzero(t[:, col] != 0)
+    rows = rows[rows != row]
+    # One rank-1 update.  Each entry is still a - b*c, so float results match
+    # row-by-row elimination bit for bit.
+    t[rows] -= np.multiply.outer(t[rows, col], t[row])
     if obj is not None and obj[col] != 0:
         obj -= obj[col] * t[row]
     basis[row] = col
@@ -274,7 +289,14 @@ def solve_lp(
     exact: bool = False,
     max_pivots: int = 500_000,
 ) -> LPResult:
-    """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``."""
+    """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``.
+
+    An optimal result carries the primal solution ``x`` and, when no row
+    needed an artificial variable (no equality rows, no ``b_ub`` entry
+    below 0), the dual solution ``duals``: the slack columns' reduced costs
+    in the final objective row, one price per ``A_ub`` row.  With
+    artificials the starting basis is not all-slack and ``duals`` is None.
+    """
     mode = _Mode(exact)
     a_ub = [] if a_ub is None else a_ub
     b_ub = [] if b_ub is None else b_ub
@@ -289,43 +311,34 @@ def solve_lp(
     if m == 0:
         raise ValueError("no constraints")
 
+    for name, rows in (("A_ub", a_ub), ("A_eq", a_eq)):
+        if any(len(row) != nv for row in rows):
+            raise ValueError(f"{name} row length mismatch")
+
     # Column layout: structural | slacks (one per ub row) | artificials | rhs.
     # Rows are sign-normalized to rhs >= 0 first; a flipped ub row's slack
     # gets coefficient -1 and the row needs an artificial, like eq rows.
-    rows: list[tuple[list, object, int]] = []  # (coeffs, rhs, ub-index or -1)
-    for k in range(m_ub):
-        if len(a_ub[k]) != nv:
-            raise ValueError("A_ub row length mismatch")
-        rows.append(([mode.num(v) for v in a_ub[k]], mode.num(b_ub[k]), k))
-    for k in range(m_eq):
-        if len(a_eq[k]) != nv:
-            raise ValueError("A_eq row length mismatch")
-        rows.append(([mode.num(v) for v in a_eq[k]], mode.num(b_eq[k]), -1))
-
-    needs_art = []
-    for idx, (coeffs, rhs, slack) in enumerate(rows):
-        flipped = rhs < 0
-        if flipped:
-            rows[idx] = ([-v for v in coeffs], -rhs, slack)
-        needs_art.append(slack < 0 or flipped)
-    n_art = sum(needs_art)
+    coeffs = mode.values([v for row in (*a_ub, *a_eq) for v in row]).reshape(m, nv)
+    rhs = mode.values([*b_ub, *b_eq])
+    flipped = rhs < 0
+    coeffs[flipped] = -coeffs[flipped]
+    rhs[flipped] = -rhs[flipped]
+    art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
+    n_art = len(art_rows)
     ncols = nv + m_ub + n_art
 
+    one = mode.num(1)
     t = mode.array(m, ncols + 1)
-    basis = [-1] * m
-    art_at = nv + m_ub
-    for i, (coeffs, rhs, slack) in enumerate(rows):
-        for j, v in enumerate(coeffs):
-            t[i, j] = v
-        t[i, -1] = rhs
-        if slack >= 0:
-            t[i, nv + slack] = mode.num(1) if not needs_art[i] else mode.num(-1)
-        if needs_art[i]:
-            t[i, art_at] = mode.num(1)
-            basis[i] = art_at
-            art_at += 1
-        else:
-            basis[i] = nv + slack
+    t[:, :nv] = coeffs
+    t[:, -1] = rhs
+    slack = np.arange(m_ub)
+    t[slack, nv + slack] = one
+    flipped_ub = np.flatnonzero(flipped[:m_ub])
+    t[flipped_ub, nv + flipped_ub] = -one
+    t[art_rows, nv + m_ub + np.arange(n_art)] = one
+    basis = [nv + i for i in range(m)]
+    for k, i in enumerate(art_rows.tolist()):
+        basis[i] = nv + m_ub + k
 
     budget = [max_pivots]
     # Pristine copy of the initial system for float refactorization.
@@ -365,8 +378,7 @@ def solve_lp(
         ncols = nv + m_ub
 
     c2 = mode.vector(ncols)
-    for j in range(nv):
-        c2[j] = mode.num(c[j])
+    c2[:nv] = mode.values(c)
     obj2 = _priced_objective(t, basis, c2, mode)
     status = _iterate(t, obj2, basis, mode, budget, c2, orig)
     if status != "optimal":
@@ -377,4 +389,7 @@ def solve_lp(
         if b < nv:
             x[b] = t[i, -1]
     objective = sum((xi * mode.num(ci) for xi, ci in zip(x, c)), mode.zero)
-    return LPResult("optimal", objective, tuple(x))
+    # Without artificials phase 2 starts from the all-slack basis, and the
+    # slack columns' reduced costs are the row prices.
+    duals = None if n_art else tuple(obj2[nv : nv + m_ub])
+    return LPResult("optimal", objective, tuple(x), duals)

@@ -301,6 +301,107 @@ class TestDualConsistency:
         assert all(p > 0 for p in dual.cut_probs.values())
 
 
+class TestOneLPPerRound:
+    """hd_capacity reads both mixtures of each restricted game off one LP:
+    the schedule from its solution, the cut mixture from its final prices."""
+
+    def test_primal_prices_certify_value(self):
+        import random
+
+        import numpy as np
+
+        from hddiamond.capacity import _game_primal
+
+        rng = random.Random(5)
+        for _ in range(30):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            g = np.array(
+                [[F(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(cols)]
+                 for _ in range(rows)],
+                dtype=object,
+            )
+            value, q, p = _game_primal(g, True)
+            assert sum(q) == 1 and sum(p) == 1
+            assert min(q) >= 0 and min(p) >= 0
+            floor = min(sum(g[i, j] * q[j] for j in range(cols)) for i in range(rows))
+            ceiling = max(sum(p[i] * g[i, j] for i in range(rows)) for j in range(cols))
+            assert ceiling == value == floor
+
+    def test_payoff_gather_matches_pointwise_values(self):
+        from hddiamond.capacity import _payoff, _tables
+
+        for net, exact in (
+            (DiamondNetwork((F(1, 2), 3, F(5, 7)), (2, F(1, 3), 1)), True),
+            (DiamondNetwork((0.5, UNBOUNDED, 1.25), (2.0, 0.75, UNBOUNDED)), False),
+        ):
+            maxl, maxr = _tables(net, exact)
+            cuts, states = [0, 3, 5, 6, 7], list(range(8))
+            g = _payoff(maxl, maxr, cuts, states)
+            assert g.tolist() == [
+                [cut_state_value(net, a, s) for s in states] for a in cuts
+            ]
+
+    def test_hd_capacity_never_solves_the_transposed_game(self, monkeypatch):
+        import hddiamond.capacity as capacity
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hd_capacity called _game_dual")
+
+        monkeypatch.setattr(capacity, "_game_dual", refuse)
+        assert hd_capacity(gen_worst_case(6), "rational").value == 1
+        assert hd_capacity(gen_half_tight(4), "rational").value == 1
+        for (n, seed), value in {
+            (5, 1): 3.024583315683132,
+            (7, 2): 2.6688104007552695,
+            (9, 3): 3.159408043229175,
+        }.items():
+            net = gen_random(n, seed=seed)
+            res = hd_capacity(net)
+            assert res.value == pytest.approx(value, rel=1e-9)
+            assert fixed_schedule_rate(net, res.optimal_schedule).value == res.value
+
+
+class TestFormerPivotStall:
+    """gen_random(12, 206) once exhausted the pivot budget after tens of
+    seconds and raised SolverFailure."""
+
+    def test_solves_and_certifies(self):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        import numpy as np
+
+        net = gen_random(12, seed=206)
+        res = hd_capacity(net)
+        floor = fixed_schedule_rate(net, res.optimal_schedule).value
+        assert floor == pytest.approx(res.value, rel=1e-9)
+
+        # Ceiling: the best mixture of the tight cuts against all 2^12 states,
+        # payoffs rebuilt from the links here.
+        states = np.arange(1 << net.n)
+        up, down = np.array(net.uplinks), np.array(net.downlinks)
+        bits = (states[:, None] >> np.arange(net.n)) & 1  # state x relay: transmits
+
+        def column(cut):
+            in_cut = (cut >> np.arange(net.n)) & 1
+            listen = np.where(in_cut & (1 - bits), up, 0.0).max(axis=1)
+            talk = np.where((1 - in_cut) & bits, down, 0.0).max(axis=1)
+            return listen + talk
+
+        g = np.array([column(a) for a in res.tight_cuts])  # cut x state
+        k = len(res.tight_cuts)
+        # min v  s.t.  p^T G <= v for every state, sum p = 1, p >= 0
+        ref = scipy_opt.linprog(
+            np.r_[np.zeros(k), 1.0],
+            A_ub=np.hstack([g.T, -np.ones((g.shape[1], 1))]),
+            b_ub=np.zeros(g.shape[1]),
+            A_eq=np.r_[np.ones(k), 0.0][None, :],
+            b_eq=[1.0],
+            bounds=[(0, None)] * k + [(None, None)],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert ref.fun == pytest.approx(res.value, rel=1e-9)
+
+
 class TestSparsify:
     def test_support_bound_and_rate(self):
         for seed in range(12):

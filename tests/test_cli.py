@@ -98,17 +98,28 @@ class TestCapacity:
         assert "error:" in err
 
     def test_solver_failure_exits_5(self, capsys, tmp_path):
-        # A magnitude spread of 1e14 that the float simplex cannot settle;
+        # A magnitude spread of 1e13 that the float simplex cannot settle;
         # rational arithmetic solves the same input.
         path = tmp_path / "wide.json"
-        path.write_text('{"l": [1e-7, 1e-3, 1, 1e-7, 3], "r": [1e7, 1e3, 1e7, 0.5, 1]}')
+        path.write_text('{"l": [1e7, 0.1, 0], "r": [1e-6, 0.1, 1e4]}')
         code, out, err = run(capsys, "capacity", "--network", str(path))
         assert code == 5
         assert out == ""
         assert err.startswith("solver: ")
         code, out, _ = run(capsys, "capacity", "--network", str(path), "--exact")
         assert code == 0
-        assert F(json.loads(out)["value"]) > 0
+        assert F(json.loads(out)["value"]) == pytest.approx(0.0500007499987, rel=1e-9)
+
+    def test_wide_spread_float_matches_exact(self, capsys, tmp_path):
+        # A spread of 1e14 that float mode once failed on.
+        path = tmp_path / "wide.json"
+        path.write_text('{"l": [1e-7, 1e-3, 1, 1e-7, 3], "r": [1e7, 1e3, 1e7, 0.5, 1]}')
+        code, out, _ = run(capsys, "capacity", "--network", str(path))
+        assert code == 0
+        approx = json.loads(out)["value"]
+        code, out, _ = run(capsys, "capacity", "--network", str(path), "--exact")
+        assert code == 0
+        assert approx == pytest.approx(float(F(json.loads(out)["value"])), rel=1e-9)
 
     def test_guard_exits_3(self, capsys, tmp_path):
         path = tmp_path / "big.json"

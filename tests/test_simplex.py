@@ -165,3 +165,113 @@ class TestAgainstScipy:
             )
             if mine.ok and ref.status == 0:
                 assert mine.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+def _assert_certified_duals(res, c, a, b, tol):
+    """``duals`` certify optimality: w >= 0, c + A^T w >= 0, b.w = -objective."""
+    w = res.duals
+    assert w is not None and len(w) == len(a)
+    assert all(wi >= -tol for wi in w)
+    for j in range(len(c)):
+        assert c[j] + sum(a[i][j] * w[i] for i in range(len(a))) >= -tol
+    bw = sum(bi * wi for bi, wi in zip(b, w))
+    if tol:
+        assert bw == pytest.approx(-res.objective, abs=tol)
+    else:
+        assert bw == -res.objective
+
+
+class TestDuals:
+    def test_random_float_lps(self):
+        import numpy as np
+
+        rng = np.random.default_rng(2024)  # the draws of TestAgainstScipy
+        certified = 0
+        for _ in range(60):
+            nv = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 6))
+            c = rng.uniform(-2, 2, nv)
+            a = rng.uniform(-2, 2, (m, nv))
+            b = rng.uniform(-1, 3, m)
+            res = solve_lp(list(c), [list(r) for r in a], list(b))
+            if not res.ok:
+                assert res.duals is None
+            elif (b < 0).any():
+                assert res.duals is None  # flipped rows start from artificials
+            else:
+                _assert_certified_duals(res, c, a, b, 1e-9)
+                certified += 1
+        assert certified >= 10
+
+    def test_random_rational_lps(self):
+        import random
+
+        rng = random.Random(11)
+        certified = 0
+        for _ in range(40):
+            nv, m = rng.randint(1, 4), rng.randint(1, 5)
+            c = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nv)]
+            a = [[F(rng.randint(-4, 6), rng.randint(1, 5)) for _ in range(nv)] for _ in range(m)]
+            b = [F(rng.randint(0, 8), rng.randint(1, 3)) for _ in range(m)]
+            res = solve_lp(c, a, b, exact=True)
+            if res.ok:
+                assert all(type(w) is F for w in res.duals)
+                _assert_certified_duals(res, c, a, b, 0)
+                certified += 1
+            else:
+                assert res.duals is None
+        assert certified >= 20
+
+    def test_none_with_artificials(self):
+        # equality row
+        res = solve_lp([1, 0], [[1, 1]], [3], a_eq=[[1, 1]], b_eq=[2])
+        assert res.ok and res.duals is None
+        # flipped row: x + y >= 1 written as -x - y <= -1
+        res = solve_lp([1, 1], [[-1, -1], [1, 0]], [-1, 3])
+        assert res.ok and res.duals is None
+        res = solve_lp([F(1), F(1)], [[F(-1), F(-1)]], [F(-1)], exact=True)
+        assert res.ok and res.duals is None
+
+    def test_matrix_game_prices(self):
+        # max x1 + x2 s.t. [[2, 1], [1, 3]] x <= 1: both rows bind, and the
+        # prices are the row mixture of the game.
+        res = solve_lp([F(-1), F(-1)], [[F(2), F(1)], [F(1), F(3)]], [F(1), F(1)], exact=True)
+        assert res.objective == F(-3, 5)
+        assert res.duals == (F(2, 5), F(1, 5))
+
+
+class TestPivot:
+    """The one-step pivot update against the row-by-row loop it replaced:
+    each entry is a - b*c either way, so the results must be equal bit for
+    bit in float and as values in exact arithmetic."""
+
+    @staticmethod
+    def loop_pivot(t, row, col):
+        t[row] = t[row] / t[row, col]
+        for i in range(t.shape[0]):
+            if i != row and t[i, col] != 0:
+                t[i] = t[i] - t[i, col] * t[row]
+
+    def test_matches_row_loop(self):
+        import numpy as np
+
+        from hddiamond.simplex import _pivot
+
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            m, ncols = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+            nums = rng.integers(-5, 6, (m, ncols))
+            nums[rng.random((m, ncols)) < 0.3] = 0  # zeros in the pivot column too
+            row, col = int(rng.integers(m)), int(rng.integers(ncols - 1))
+            nums[row, col] = int(rng.integers(1, 6))
+            dens = rng.integers(1, 7, (m, ncols))
+            for t in (nums / dens, np.vectorize(F, otypes=[object])(nums, dens)):
+                ref = t.copy()
+                self.loop_pivot(ref, row, col)
+                basis = [0] * m
+                _pivot(t, None, basis, row, col)
+                assert basis[row] == col
+                if t.dtype == object:
+                    assert (t == ref).all(), trial
+                else:
+                    assert t.tobytes() == ref.tobytes(), trial
