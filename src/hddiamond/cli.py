@@ -12,7 +12,8 @@ Subcommands:
 * ``verify``   — run one named self-verification suite; nonzero exit iff
   some instance failed.
 * ``sweep``    — CSV of full capacity vs. best-subnetwork value across a
-  range of sizes for a generated family.
+  range of sizes for a generated family: one rational
+  ``select_k_exhaustive`` per size.
 
 Exit codes: 0 success; 1 a verify suite found failures; 2 bad input or
 usage; 3 a size guard refused the computation; 4 a proven bound was
@@ -29,31 +30,22 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
 
-from .capacity import (
-    fd_capacity,
-    fd_capacity_fast,
-    fixed_schedule_rate,
-    hd_capacity,
-)
+from .capacity import fd_capacity, hd_capacity
 from .errors import BoundViolation, GuardExceeded, NetworkFormatError, SolverFailure
 from .network import (
     UNBOUNDED,
     DiamondNetwork,
-    Schedule,
     gen_half_tight,
     gen_random,
-    gen_two_phase_schedule,
     gen_worst_case,
-    is_unbounded,
     network_to_dict,
     parse_network,
     render_mask,
     schedule_to_dict,
     value_to_json,
 )
-from .selection import STRATEGIES, select_k
+from .selection import STRATEGIES, select_k, select_k_exhaustive
 from .verify import SUITES, run_suite
 
 __all__ = ["main"]
@@ -187,21 +179,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if rep.ok else 1
 
 
-def _certified_capacity(net: DiamondNetwork):
-    """Full value of an exact network via the LP when allowed, else the
-    two-sided pin (schedule rate from below, FD bound from above) when it
-    closes."""
-    try:
-        return hd_capacity(net, "rational").value
-    except GuardExceeded:
-        if net.n >= 2:
-            lower = fixed_schedule_rate(net, gen_two_phase_schedule(net.n)).value
-            upper = fd_capacity_fast(net)
-            if lower == upper:
-                return lower
-        raise
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         lo, hi = args.n_range.split(":")
@@ -216,29 +193,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         k = n - 1 if args.k == "best" else int(args.k)
         if not 1 <= k <= n:
             raise NetworkFormatError(f"k={k} out of range for n={n}")
-        net = gen(n)
-        full = _certified_capacity(net)
-        if n > 10 and k > 2:
-            raise GuardExceeded(
-                f"sweep at n={n}, k={k} needs {n} choose {k} subnetwork solves"
-            )
-        best = None
-        for positions in combinations(range(1, n + 1), k):
-            v = hd_capacity(net.subnetwork(positions), "rational").value
-            if best is None or v > best:
-                best = v
-        if is_unbounded(full):
-            fraction = 1 if is_unbounded(best) else 0
-        elif full == 0:
-            fraction = Fraction(1)
-        else:
-            fraction = Fraction(best) / Fraction(full)
+        report = select_k_exhaustive(gen(n), k, arithmetic="rational")
         rows.append(
             (
                 n,
-                value_to_json(full),
-                value_to_json(best),
-                value_to_json(fraction),
+                value_to_json(report.full_value),
+                value_to_json(report.value),
+                value_to_json(report.fraction),
             )
         )
     buf = io.StringIO()

@@ -6,15 +6,18 @@ Four strategies pick k of the n relays:
   is smallest.  Cheap (n single-relay closed forms per round) and guarantees
   the surviving subnetwork keeps at least 2^-(n-k) of the capacity — 1/2 for
   k = n-1, which is tight (see ``gen_half_tight``).
-* ``schedule-reuse`` — k = n-1 only: take an optimal schedule of the full
-  network, marginalize it onto each leave-one-out subnetwork, and keep the
-  best.  Certifies an actual *rate* of at least (n-1)/n of the full value.
-* ``iterative``    — repeat schedule-reuse n-k times, re-deriving the
-  schedule each round; the certified rate keeps at least k/n of the full
-  value (each round keeps (m-1)/m of the current one).
+* ``iterative``    — take an optimal schedule of the full network,
+  marginalize it onto each leave-one-out subnetwork and keep the best; repeat
+  n-k times, re-deriving the schedule each round.  Certifies an actual
+  *rate* of at least k/n of the full value (each round keeps (m-1)/m of the
+  current one).
+* ``schedule-reuse`` — iterative's k = n-1 case, a single round: the kept
+  rate is at least (n-1)/n of the full value.
 * ``exhaustive``   — solve every size-k subnetwork and keep the best.
   Dominates everything above; its guarantee combines the k/n rate floor
-  with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).
+  with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).  Past the LP guard,
+  rational mode pins the full value exactly when a two-phase schedule's rate
+  meets the full-duplex value.
 
 Capacity-valued strategies report ``value_kind="capacity"``; the
 schedule-driven ones certify rates (``value_kind="rate"``), with
@@ -26,14 +29,26 @@ the schedule is the optimal one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .capacity import fixed_schedule_rate, hd_capacity, single_relay_capacity
+from .capacity import (
+    _net_is_exact,
+    fd_capacity_fast,
+    fixed_schedule_rate,
+    hd_capacity,
+    single_relay_capacity,
+)
 from .errors import BoundViolation, GuardExceeded
-from .network import DiamondNetwork, LinkValue, Schedule, derive_natural_schedule
+from .network import (
+    DiamondNetwork,
+    LinkValue,
+    Schedule,
+    derive_natural_schedule,
+    gen_two_phase_schedule,
+)
 
 __all__ = [
     "SelectionReport",
@@ -207,35 +222,18 @@ def select_drop_one_schedule_reuse(
     *,
     arithmetic: str = "float",
 ) -> SelectionReport:
-    """Drop one relay, reusing (the marginal of) the full network's schedule.
+    """Drop one relay, reusing (the marginal of) the full network's schedule:
+    one round of :func:`select_k_iterative`.
 
     Certifies value_kind "rate": the reported value is what the kept n-1
     relays really achieve under the derived schedule, at least (n-1)/n of
     the schedule's full-network rate.  With the default schedule (an optimal
     one) the yardstick equals the HD capacity.
     """
-    n = net.n
-    if n < 2:
+    if net.n < 2:
         raise ValueError("need at least 2 relays to drop one")
-    sched = schedule if schedule is not None else hd_capacity(net, arithmetic).optimal_schedule
-    full_rate = fixed_schedule_rate(net, sched).value
-    _, sub, _, rate = _reuse_round(net, sched)
-    bound = guarantee_bound("schedule-reuse", n, n - 1)
-    if rate < bound * full_rate - _ROUND_TOL:
-        raise BoundViolation(
-            f"schedule-reuse rate {rate} fell below {bound} of {full_rate}"
-        )
-    return SelectionReport(
-        strategy="schedule-reuse",
-        selected=sub.labels,
-        k=n - 1,
-        value_kind="rate",
-        value=rate,
-        full_value=full_rate,
-        fraction=_ratio(rate, full_rate),
-        bound=bound,
-        notes=(),
-    )
+    report = select_k_iterative(net, net.n - 1, schedule, arithmetic=arithmetic)
+    return replace(report, strategy="schedule-reuse")
 
 
 def select_k_iterative(
@@ -282,6 +280,21 @@ def select_k_iterative(
     )
 
 
+def _certified_capacity(net: DiamondNetwork, arithmetic: str) -> LinkValue:
+    """HD capacity of ``net`` from the game LP.  Where the LP guard refuses,
+    rational mode on exact links tries the two-sided pin instead: a
+    two-phase schedule's rate from below, the FD capacity from above.  If
+    they meet, that is the capacity; otherwise the refusal stands."""
+    try:
+        return hd_capacity(net, arithmetic).value
+    except GuardExceeded:
+        if arithmetic == "rational" and net.n >= 2 and _net_is_exact(net):
+            lower = fixed_schedule_rate(net, gen_two_phase_schedule(net.n)).value
+            if lower == fd_capacity_fast(net):
+                return lower
+        raise
+
+
 def select_k_exhaustive(
     net: DiamondNetwork,
     k: int,
@@ -291,7 +304,8 @@ def select_k_exhaustive(
 ) -> SelectionReport:
     """Solve every size-k subnetwork and keep the best (ties: smallest
     relay set).  Guarded: allowed when n <= guard or k <= 2 (where the
-    number of subnetworks stays trivial even for larger n)."""
+    number of subnetworks stays trivial even for larger n).  The guard is
+    checked before anything is solved."""
     n = net.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
@@ -299,7 +313,7 @@ def select_k_exhaustive(
         raise GuardExceeded(
             f"select_k_exhaustive on {n} relays with k={k} exceeds guard {guard}"
         )
-    full = hd_capacity(net, arithmetic)
+    full_value = _certified_capacity(net, arithmetic)
     best_value: LinkValue | None = None
     best_sub: DiamondNetwork | None = None
     for positions in combinations(range(1, n + 1), k):
@@ -313,8 +327,8 @@ def select_k_exhaustive(
         k=k,
         value_kind="capacity",
         value=best_value,
-        full_value=full.value,
-        fraction=_ratio(best_value, full.value),
+        full_value=full_value,
+        fraction=_ratio(best_value, full_value),
         bound=guarantee_bound("exhaustive", n, k),
         notes=(),
     )

@@ -10,6 +10,7 @@ from hddiamond import (
     DiamondNetwork,
     GuardExceeded,
     Schedule,
+    SolverFailure,
     cut_state_value,
     dual_capacity,
     fd_capacity,
@@ -400,6 +401,34 @@ class TestFormerPivotStall:
         )
         assert ref.status == 0
         assert ref.fun == pytest.approx(res.value, rel=1e-9)
+
+
+class TestFloatWideSpreadDefects:
+    """Known float defects on wide magnitude spreads.  Strict xfails: each
+    flips to a failure once float mode is tight on its input (for instance
+    by escalating to exact arithmetic), and must then become a plain test."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="float stops at 999.00100 against the exact 999.01100: the optimum "
+        "puts weights near 1e-9 and 1e-13 on two states, below the float tolerances",
+    )
+    def test_tiny_optimal_weights(self):
+        net = DiamondNetwork((1e3, 1e7, 1e-6, 1e-7), (1e6, 0.01, 0, 1e6))
+        exact = hd_capacity(net, "rational").value
+        assert hd_capacity(net).value == pytest.approx(float(exact), rel=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverFailure,
+        reason="float raises SolverFailure: reduced costs will not settle",
+    )
+    def test_reduced_costs_settle(self):
+        net = DiamondNetwork((1e7, 0.1, 0), (1e-6, 0.1, 1e4))
+        exact = hd_capacity(net, "rational").value
+        assert exact == pytest.approx(0.0500007499987, rel=1e-9)
+        assert hd_capacity(net).value == pytest.approx(float(exact), rel=1e-9)
 
 
 class TestSparsify:

@@ -322,3 +322,48 @@ class TestSweep:
         )
         assert code == 3
         assert "guard:" in err
+
+    def test_guard_refuses_before_solving(self, capsys, monkeypatch):
+        import hddiamond
+        import hddiamond.capacity
+        import hddiamond.cli
+        import hddiamond.selection
+        import hddiamond.verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hd_capacity ran before the size guard")
+
+        for module in (
+            hddiamond,
+            hddiamond.capacity,
+            hddiamond.cli,
+            hddiamond.selection,
+            hddiamond.verify,
+        ):
+            if hasattr(module, "hd_capacity"):
+                monkeypatch.setattr(module, "hd_capacity", refuse)
+        code, out, err = run(
+            capsys, "sweep", "--family", "half-tight", "--n-range", "11:11", "--k", "3"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard: ")
+
+    def test_pin_past_the_lp_guard(self, capsys):
+        # n=18 is past the hd_capacity guard.  The two-phase schedule's rate
+        # meets the full-duplex value there, which pins the full capacity.
+        code, out, _ = run(
+            capsys, "sweep", "--family", "worst-case", "--n-range", "18:18", "--k", "1"
+        )
+        assert code == 0
+        assert out.splitlines() == ["N,C_full,best_value,fraction", "18,1,5/18,5/18"]
+
+    def test_open_pin_exits_3(self, capsys):
+        # For odd n the two-phase rate stays below the full-duplex value, so
+        # the pin does not close and the LP guard's refusal stands.
+        code, out, err = run(
+            capsys, "sweep", "--family", "worst-case", "--n-range", "17:17", "--k", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("guard: ")

@@ -1,5 +1,6 @@
 """Relay-subset selection strategies and their proven fraction floors."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from hddiamond import (
     drop_worst,
     gen_half_tight,
     gen_random,
+    gen_two_phase_schedule,
     gen_worst_case,
     guarantee_bound,
     hd_capacity,
@@ -129,8 +131,45 @@ class TestScheduleReuse:
         assert rep.value >= F(1, 2) * rep.full_value
 
     def test_needs_two_relays(self):
+        net = DiamondNetwork((1,), (1,))
         with pytest.raises(ValueError):
-            select_drop_one_schedule_reuse(DiamondNetwork((1,), (1,)))
+            select_drop_one_schedule_reuse(net)
+        with pytest.raises(ValueError):
+            select_k(net, 0, "schedule-reuse")
+
+
+class TestScheduleReuseIsOneIterativeRound:
+    """Schedule-reuse reports what iterative reports at k = n-1, down to the
+    value types; only the strategy name differs."""
+
+    @staticmethod
+    def assert_same_but_strategy(reuse, it):
+        assert (reuse.strategy, it.strategy) == ("schedule-reuse", "iterative")
+        for f in fields(reuse):
+            if f.name != "strategy":
+                a, b = getattr(reuse, f.name), getattr(it, f.name)
+                assert (a, type(a)) == (b, type(b)), f.name
+
+    def test_float_random_nets(self):
+        for n in range(2, 9):
+            for seed in range(3):
+                net = gen_random(n, seed)
+                self.assert_same_but_strategy(
+                    select_drop_one_schedule_reuse(net), select_k_iterative(net, n - 1)
+                )
+
+    def test_rational_families(self):
+        for n in range(2, 6):
+            net = gen_worst_case(n)
+            self.assert_same_but_strategy(
+                select_drop_one_schedule_reuse(net, arithmetic="rational"),
+                select_k_iterative(net, n - 1, arithmetic="rational"),
+            )
+            net, sched = gen_half_tight(n), gen_two_phase_schedule(n)
+            self.assert_same_but_strategy(
+                select_drop_one_schedule_reuse(net, sched, arithmetic="rational"),
+                select_k_iterative(net, n - 1, sched, arithmetic="rational"),
+            )
 
 
 class TestIterative:
@@ -173,6 +212,27 @@ class TestExhaustive:
             select_k_exhaustive(net, 3)
         rep = select_k_exhaustive(net, 2)  # k <= 2 bypasses the relay guard
         assert rep.k == 2
+
+    def test_pin_past_the_lp_guard(self, monkeypatch):
+        # Past the hd_capacity guard, rational mode on exact links takes the
+        # full value from the pin when the two-phase rate meets the FD value.
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "4")
+        net = gen_worst_case(8)
+        rep = select_k_exhaustive(net, 1, arithmetic="rational")
+        assert (rep.full_value, rep.value, rep.fraction) == (1, F(3, 10), F(3, 10))
+        assert isinstance(rep.full_value, F)
+        # The pin stays open on odd sizes, and is not tried in float
+        # arithmetic or on float links, even where float sums would meet.
+        floats = DiamondNetwork(
+            tuple(map(float, net.uplinks)), tuple(map(float, net.downlinks))
+        )
+        for sub, arithmetic in (
+            (gen_worst_case(7), "rational"),
+            (net, "float"),
+            (floats, "rational"),
+        ):
+            with pytest.raises(GuardExceeded):
+                select_k_exhaustive(sub, 1, arithmetic=arithmetic)
 
     def test_ties_keep_smallest_set(self):
         net = DiamondNetwork((1, 1), (1, 1))
