@@ -39,6 +39,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import GuardExceeded, SolverFailure
+from .flow import FlowGraph, max_flow
 from .network import (
     UNBOUNDED,
     DiamondNetwork,
@@ -149,19 +150,22 @@ def _net_is_exact(net: DiamondNetwork) -> bool:
 # O(n * 2^n).  Every cut/state payoff is then two table lookups:
 #     value(A, s) = maxl[A & ~s] + maxr[s & ~A].
 
+def _scalar(v: LinkValue, exact: bool) -> LinkValue:
+    """A link value or probability in one arithmetic: a float, or when exact
+    a ``Fraction`` (``UNBOUNDED`` stays as it is)."""
+    if not exact:
+        return float(v)
+    return UNBOUNDED if is_unbounded(v) else Fraction(v)
+
+
 def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray]:
     """(maxl, maxr) as float64 arrays, or as object arrays of ``Fraction`` and
     ``UNBOUNDED`` when exact.  The dtype carries the arithmetic mode from here
     on: every scan below is the same numpy code in either mode."""
-    def scalar(v: LinkValue) -> LinkValue:
-        if not exact:
-            return float(v)
-        return UNBOUNDED if is_unbounded(v) else Fraction(v)
-
     def build(vals: Sequence[LinkValue]) -> np.ndarray:
-        table = np.array([scalar(0)])
+        table = np.array([_scalar(0, exact)])
         for v in vals:
-            table = np.concatenate([table, np.maximum(table, scalar(v))])
+            table = np.concatenate([table, np.maximum(table, _scalar(v, exact))])
         return table
 
     return build(net.uplinks), build(net.downlinks)
@@ -221,17 +225,143 @@ def cut_state_value(
 
 def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
     """Rate the network carries under a fixed schedule: the minimum over all
-    cuts of the schedule-averaged cut value, with the lowest minimizing cut
-    mask.  Exact inputs (int/Fraction links and probabilities) are evaluated
-    exactly; anything else in float64.
+    cuts of the schedule-averaged cut value, and a cut attaining it.  Exact
+    inputs (int/Fraction links and probabilities) are evaluated exactly and
+    ``min_cut`` is the lowest minimizing cut mask; anything else runs in
+    float64 and ``min_cut`` attains the minimum within the float tolerance
+    (on near-ties it may differ from the lowest such mask).
+
+    Small inputs scan all ``2**n`` cuts; larger ones solve one s-t minimum
+    cut (see :func:`_flow_rate`), whichever is estimated to be less work.
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is over {sched.n} relays, network has {net.n}")
     exact = _net_is_exact(net) and sched.is_exact
-    maxl, maxr = _tables(net, exact)
-    vals = _cut_values(net.n, maxl, maxr, sched.items())
-    cut = int(np.argmin(vals))
-    return RateValue(vals[cut] if exact else float(vals[cut]), cut)
+    if _scan_is_cheaper(net.n, len(sched.probs), exact):
+        maxl, maxr = _tables(net, exact)
+        vals = _cut_values(net.n, maxl, maxr, sched.items())
+        cut = int(np.argmin(vals))
+        return RateValue(vals[cut] if exact else float(vals[cut]), cut)
+    return _flow_rate(net, sched, exact)
+
+
+# Estimated seconds per unit of work, keyed by exactness, used only to pick
+# the cheaper rate algorithm.  The scan costs about one unit per cut and
+# state, plus two per cut for the tables and the argmin; the flow about one
+# unit per relay and state (the threshold graph has up to 2nk chain nodes).
+# Fitted on random nets with n = 3..16 and k = 1..n+1 states.  The flow is
+# chosen from n = 13 / 14 / 15 in float and n = 4 / 5 / 6 in exact
+# arithmetic for k = 1 / 2 / n+1.
+_SCAN_UNIT_S = {False: 8e-9, True: 6e-6}
+_FLOW_UNIT_S = {False: 15e-6, True: 60e-6}
+
+
+def _scan_is_cheaper(n: int, k: int, exact: bool) -> bool:
+    """Whether scanning every cut under a ``k``-state schedule is estimated
+    to cost less than one s-t min cut on the threshold graph."""
+    return _SCAN_UNIT_S[exact] * (1 << n) * (k + 2) <= _FLOW_UNIT_S[exact] * n * k
+
+
+def _float_tol(value: LinkValue) -> float:
+    """Float slack of a minimum: relative, and absolute below 1."""
+    return 1e-12 * max(1.0, abs(value))
+
+
+def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
+    """:func:`fixed_schedule_rate` by one s-t minimum cut.
+
+    The scheduled value of cut A is a sum over states of ``p * max uplink
+    over listening relays in A`` plus ``p * max downlink over transmitting
+    relays outside A``.  Sort a state's listening relays by uplink, highest
+    first, and merge ties: with ``v_1 > v_2 > ... > v_m > 0`` the distinct
+    positive values and ``v_{m+1} = 0``, the first term is the sum over t of
+    ``p * (v_t - v_{t+1})`` times [A meets the top t groups].  Each such
+    indicator is a source edge into a chain node that reaches the t-th
+    group's relays and the previous chain node by unbounded edges, so a
+    relay on the sink side (in A) drags the chain node of its own group and
+    every later one to the sink side too.  The downlink term is the mirror
+    image toward the sink.  Cut A's value is then the least capacity of a
+    graph cut with sink-side relays A, so the minimal sink side of a
+    minimum cut gives the lowest minimizing mask.  The rate itself is the
+    chosen cut's value, summed as the scan sums it.
+
+    In float, the flow value must match that rate within
+    :func:`_float_tol`; otherwise the same code runs again on the exact
+    ``Fraction`` values of the float inputs, and the float rate of the exact
+    minimizer is returned.
+    """
+    up = [_scalar(v, exact) for v in net.uplinks]
+    down = [_scalar(v, exact) for v in net.downlinks]
+    items = [(s, _scalar(p, exact)) for s, p in sched.items()]
+    value, cut = _min_cut(net.n, up, down, items)
+    if value == UNBOUNDED:
+        return RateValue(UNBOUNDED, 0)
+    rate = _cut_rate(up, down, items, cut)
+    if not exact and abs(rate - value) > _float_tol(rate):
+        _, cut = _min_cut(
+            net.n,
+            [_scalar(v, True) for v in up],
+            [_scalar(v, True) for v in down],
+            [(s, _scalar(p, True)) for s, p in items],
+        )
+        rate = _cut_rate(up, down, items, cut)
+    return RateValue(rate, cut)
+
+
+def _min_cut(
+    n: int,
+    up: Sequence[LinkValue],
+    down: Sequence[LinkValue],
+    items: Sequence[tuple[int, LinkValue]],
+) -> tuple[LinkValue, int]:
+    """(max-flow value, lowest minimizing cut mask) of the threshold graph
+    of :func:`_flow_rate`: node 0 is the source, node 1 the sink and relay
+    k is node k + 2."""
+    g = FlowGraph(n + 2)
+    reverse = lambda u, v, c: g.add_edge(v, u, c)
+    chains = (
+        (0, sorted(range(n), key=up.__getitem__, reverse=True), up, g.add_edge),
+        # The downlink chain is the mirror image: every edge reversed, and
+        # the sink in place of the source.
+        (1, sorted(range(n), key=down.__getitem__, reverse=True), down, reverse),
+    )
+    for s, p in items:
+        for end, order, links, add in chains:
+            # Listening relays (bit clear) on the source side, transmitting
+            # relays (bit set) on the sink side, highest link first.
+            members = [k for k in order if (s >> k & 1) == end and links[k] > 0]
+            prev = None
+            i = 0
+            while i < len(members):
+                v = links[members[i]]
+                node = g.add_node()
+                while i < len(members) and links[members[i]] == v:
+                    add(node, members[i] + 2, UNBOUNDED)
+                    i += 1
+                add(end, node, p * (v - (links[members[i]] if i < len(members) else 0)))
+                if prev is not None:
+                    add(node, prev, UNBOUNDED)
+                prev = node
+    value, sink_side = max_flow(g, 0, 1)
+    return value, sum(1 << k for k in range(n) if sink_side[k + 2])
+
+
+def _cut_rate(
+    up: Sequence[LinkValue],
+    down: Sequence[LinkValue],
+    items: Iterable[tuple[int, LinkValue]],
+    cut: int,
+) -> LinkValue:
+    """Scheduled value of one cut, summed in the order and with the
+    operations of :func:`_cut_values`, so that a float result is bitwise
+    the scan's."""
+    n = len(up)
+    acc: LinkValue = 0
+    for s, p in items:
+        best_l = max((up[k] for k in range(n) if cut >> k & 1 and not s >> k & 1), default=0)
+        best_r = max((down[k] for k in range(n) if s >> k & 1 and not cut >> k & 1), default=0)
+        acc += (best_l + best_r) * p
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +380,7 @@ def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     if value == UNBOUNDED:
         tight: tuple[int, ...] = (0,)
     else:
-        tol = 0 if exact else 1e-12 * max(1.0, abs(value))
+        tol = 0 if exact else _float_tol(value)
         tight = tuple(int(a) for a in np.flatnonzero(vals <= value + tol))
     return CapacityResult(
         value=value if exact else float(value),

@@ -187,10 +187,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise NetworkFormatError(f"bad --n-range {args.n_range!r}, want A:B") from None
     if not 2 <= lo <= hi:
         raise NetworkFormatError(f"bad --n-range {args.n_range!r}")
+    fixed_k = None
+    if args.k != "best":
+        try:
+            fixed_k = int(args.k)
+        except ValueError:
+            raise NetworkFormatError(f"bad --k {args.k!r}, want 'best' or an integer") from None
     gen = gen_worst_case if args.family == "worst-case" else gen_half_tight
     rows = []
     for n in range(lo, hi + 1):
-        k = n - 1 if args.k == "best" else int(args.k)
+        k = n - 1 if fixed_k is None else fixed_k
         if not 1 <= k <= n:
             raise NetworkFormatError(f"k={k} out of range for n={n}")
         report = select_k_exhaustive(gen(n), k, arithmetic="rational")

@@ -134,13 +134,13 @@ def test_criterion_3_shrinking_subset_fractions():
             failures.append(f"t={t}: best-1 fraction {f1} != {want1}")
         if abs(float(f2) - float(want2)) > TOL_REGRESSION:
             failures.append(f"t={t}: best-2 fraction {f2} != {want2}")
-    for n in (14, 18):
+    for n in (14, 18, 60):
         net = gen_worst_case(n)
         lower = fixed_schedule_rate(net, gen_two_phase_schedule(n)).value
         upper = fd_capacity_fast(net)
         if not (lower == 1 == upper):
             failures.append(f"n={n}: sandwich gave [{lower}, {upper}], not [1, 1]")
-    _verdict(3, failures, "closed-form fractions at N=2,6,10; exact sandwich pins N=14,18")
+    _verdict(3, failures, "closed-form fractions at N=2,6,10; exact sandwich pins N=14,18,60")
 
 
 def test_criterion_4_guarantee_battery():

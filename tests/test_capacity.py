@@ -1,14 +1,18 @@
 """Capacity oracles: closed forms, game LP, duality, unbounded links."""
 
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from hddiamond import capacity
 from hddiamond import (
     UNBOUNDED,
     DiamondNetwork,
     GuardExceeded,
+    RateValue,
     Schedule,
     SolverFailure,
     cut_state_value,
@@ -24,6 +28,7 @@ from hddiamond import (
     single_relay_capacity,
     sparsify_schedule,
 )
+from hddiamond.flow import FlowGraph, max_flow
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +121,150 @@ class TestFixedScheduleRate:
         approx = fixed_schedule_rate(net, sched)
         assert approx.value == pytest.approx(float(exact.value), abs=1e-12)
         assert approx.min_cut == exact.min_cut
+
+
+class TestFlowRateMatchesScan:
+    """The s-t min-cut route of fixed_schedule_rate against the 2^n cut scan,
+    which stays the reference.  Both routes are called directly, so every
+    size from 1 to 12 relays runs through both, whichever one
+    fixed_schedule_rate would pick."""
+
+    EXACT_LINKS = (F(0), F(1, 2), F(1), F(1), F(3, 2), F(2), UNBOUNDED)
+    FLOAT_LINKS = (0.0, 0.5, 1.0, 1.0, 2.5, math.pi, UNBOUNDED)
+    WIDE_LINKS = (0.0,) + tuple(10.0**e for e in range(-7, 8)) + (UNBOUNDED,)
+
+    @staticmethod
+    def scan(net, sched):
+        exact = capacity._net_is_exact(net) and sched.is_exact
+        maxl, maxr = capacity._tables(net, exact)
+        vals = capacity._cut_values(net.n, maxl, maxr, sched.items())
+        cut = int(np.argmin(vals))
+        return RateValue(vals[cut] if exact else float(vals[cut]), cut), vals
+
+    @staticmethod
+    def flow(net, sched):
+        exact = capacity._net_is_exact(net) and sched.is_exact
+        return capacity._flow_rate(net, sched, exact)
+
+    @staticmethod
+    def draw(rng, n, links, exact):
+        net = DiamondNetwork(
+            tuple(rng.choice(links) for _ in range(n)),
+            tuple(rng.choice(links) for _ in range(n)),
+        )
+        states = rng.sample(range(1 << n), rng.randint(1, min(1 << n, n + 1)))
+        weights = [rng.randint(1, 4) for _ in states]
+        if exact:
+            probs = [F(w, sum(weights)) for w in weights]
+        else:
+            probs = [w / sum(weights) for w in weights]
+        return net, Schedule(n, dict(zip(states, probs)))
+
+    def assert_exact_match(self, net, sched):
+        want, _ = self.scan(net, sched)
+        got = self.flow(net, sched)
+        assert got == want
+        assert type(got.value) is type(want.value)
+
+    def assert_float_match(self, net, sched):
+        want, vals = self.scan(net, sched)
+        got = self.flow(net, sched)
+        assert type(got.value) is float
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+        assert vals[got.min_cut] == pytest.approx(want.value, rel=1e-12, abs=0)
+
+    def test_exact_random_links(self):
+        rng = random.Random(5)
+        for n in range(1, 13):
+            for _ in range(8 if n <= 8 else 2):
+                self.assert_exact_match(*self.draw(rng, n, self.EXACT_LINKS, True))
+
+    def test_exact_hard_families(self):
+        for n in range(2, 13):
+            for net in (gen_worst_case(n), gen_half_tight(n)):
+                self.assert_exact_match(net, gen_two_phase_schedule(n))
+
+    def test_all_unbounded(self):
+        for n in (1, 3, 6):
+            links = (UNBOUNDED,) * n
+            net = DiamondNetwork(links, links)
+            for sched in (Schedule.uniform(n), Schedule(n, {0: 0.25, (1 << n) - 1: 0.75})):
+                assert self.flow(net, sched) == RateValue(UNBOUNDED, 0)
+                assert self.scan(net, sched)[0] == RateValue(UNBOUNDED, 0)
+
+    def test_float_random_links(self):
+        rng = random.Random(6)
+        for n in range(1, 13):
+            for links in (self.FLOAT_LINKS, self.WIDE_LINKS):
+                for _ in range(6 if n <= 8 else 2):
+                    self.assert_float_match(*self.draw(rng, n, links, False))
+
+    def test_property_matches_scan(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+        @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+                   alphabet=st.sampled_from(("exact", "float", "wide")))
+        def check(seed, n, alphabet):
+            rng = random.Random(seed)
+            if alphabet == "exact":
+                self.assert_exact_match(*self.draw(rng, n, self.EXACT_LINKS, True))
+            else:
+                links = self.FLOAT_LINKS if alphabet == "float" else self.WIDE_LINKS
+                self.assert_float_match(*self.draw(rng, n, links, False))
+
+        check()
+
+    def test_failed_float_certificate_reruns_exactly(self, monkeypatch):
+        # A float flow value that disagrees with its own cut sends the solve
+        # back through the same code on the exact values of the float inputs.
+        calls = []
+
+        def skewed(g, s, t):
+            value, sink_side = max_flow(g, s, t)
+            calls.append(type(value))
+            if isinstance(value, float):
+                return value / 2, [v == t for v in range(len(sink_side))]
+            return value, sink_side
+
+        monkeypatch.setattr(capacity, "max_flow", skewed)
+        rng = random.Random(7)
+        for n in (3, 6, 10):
+            # Every relay listens in one state and transmits in the other,
+            # so the rate is positive and the float flow carries a value.
+            net, _ = self.draw(rng, n, (0.5, 1.0, 2.5, math.pi), False)
+            half = rng.randrange(1, (1 << n) - 1)
+            sched = Schedule(n, {half: 0.5, half ^ ((1 << n) - 1): 0.5})
+            want, _ = self.scan(net, sched)
+            calls.clear()
+            got = self.flow(net, sched)
+            assert calls == [float, F]
+            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+            assert got.min_cut == want.min_cut
+
+    def test_max_flow_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(8)
+        for _ in range(40):
+            nodes = rng.randint(2, 12)
+            g, ref = FlowGraph(nodes), nx.DiGraph()
+            ref.add_nodes_from(range(nodes))
+            for _ in range(rng.randint(0, 40)):
+                u, v = rng.sample(range(nodes), 2)
+                c = F(rng.randint(0, 9), rng.randint(1, 3))
+                g.add_edge(u, v, c)
+                old = ref.get_edge_data(u, v, {"capacity": 0})["capacity"]
+                ref.add_edge(u, v, capacity=old + c)
+            value, sink_side = max_flow(g, 0, 1)
+            want, (_, sink_ref) = nx.minimum_cut(ref, 0, 1)
+            assert value == want
+            # The minimal sink side lies inside every minimum cut's sink side,
+            # and its own cut has the minimum capacity.
+            sink = {v for v in range(nodes) if sink_side[v]}
+            assert sink <= set(sink_ref)
+            assert sum(c for u, v, c in ref.edges(data="capacity")
+                       if u not in sink and v in sink) == want
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,14 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
+    def test_bad_k_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--family", "worst-case", "--n-range", "2:2", "--k", "abc"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad --k 'abc'")
+
     def test_guard_exits_3(self, capsys):
         code, _, err = run(
             capsys, "sweep", "--family", "half-tight", "--n-range", "11:11", "--k", "3"
@@ -367,3 +375,12 @@ class TestSweep:
         assert code == 3
         assert out == ""
         assert err.startswith("guard: ")
+
+    def test_pin_at_thirty_relays(self, capsys):
+        # The pin's schedule rate comes from one s-t min cut, so sizes far
+        # past any 2^n scan are certified too.
+        code, out, _ = run(
+            capsys, "sweep", "--family", "worst-case", "--n-range", "30:30", "--k", "1"
+        )
+        assert code == 0
+        assert out.splitlines() == ["N,C_full,best_value,fraction", "30,1,4/15,4/15"]

@@ -234,6 +234,14 @@ class TestExhaustive:
             with pytest.raises(GuardExceeded):
                 select_k_exhaustive(sub, 1, arithmetic=arithmetic)
 
+    def test_pin_at_thirty_relays(self):
+        # The pin's two-phase rate is one s-t min cut, not a scan over 2^30
+        # cuts, so the full value is certified far past the LP guard.
+        rep = select_k_exhaustive(gen_worst_case(30), 1, arithmetic="rational")
+        assert rep.full_value == 1
+        assert isinstance(rep.full_value, F)
+        assert rep.fraction == F(4, 15)
+
     def test_ties_keep_smallest_set(self):
         net = DiamondNetwork((1, 1), (1, 1))
         rep = select_k_exhaustive(net, 1, arithmetic="rational")
