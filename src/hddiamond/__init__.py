@@ -13,16 +13,16 @@ zero-sum matrix game between the schedule (maximizer) and network cuts
 (minimizer); :func:`hd_capacity` computes it with a self-contained
 simplex core, :func:`fd_capacity` the full-duplex counterpart, and the
 ``selection`` module picks relay subsets with proven fraction
-guarantees.  ``verify`` re-checks every structural claim the package
-relies on, on both pinned and randomized instances.
+guarantees.  :func:`sparsify_schedule` returns an optimal schedule on at
+most ``n + 1`` states, which is normally :func:`hd_capacity`'s own.
+``verify`` re-checks every structural claim the package relies on, on
+both pinned and randomized instances.
 """
 
 from .capacity import (
     CapacityResult,
-    DualCapacity,
     RateValue,
     cut_state_value,
-    dual_capacity,
     fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
@@ -94,7 +94,6 @@ __all__ = [
     "CapacityResult",
     "CutCompletionCheck",
     "DiamondNetwork",
-    "DualCapacity",
     "GuardExceeded",
     "InequalityCheck",
     "LPResult",
@@ -117,7 +116,6 @@ __all__ = [
     "cut_state_value",
     "derive_natural_schedule",
     "drop_worst",
-    "dual_capacity",
     "fd_capacity",
     "fd_capacity_fast",
     "fixed_schedule_rate",

@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .simplex import solve_lp
 __all__ = [
     "CapacityResult",
     "RateValue",
-    "DualCapacity",
     "DEFAULT_LP_GUARD",
     "LP_GUARD_ENV",
     "cut_state_value",
@@ -66,7 +65,6 @@ __all__ = [
     "fd_capacity_fast",
     "hd_capacity",
     "single_relay_capacity",
-    "dual_capacity",
     "sparsify_schedule",
 ]
 
@@ -74,7 +72,7 @@ __all__ = [
 DEFAULT_LP_GUARD = 16
 LP_GUARD_ENV = "HDDIAMOND_LP_GUARD"
 
-_DUAL_GUARD = 10  # dual_capacity materializes a dense (cuts x states) matrix
+_SEARCH_GUARD = 4  # sparsify's fallback solves sum_k C(2^n, k) restricted games
 
 
 @dataclass(frozen=True)
@@ -102,15 +100,6 @@ class RateValue:
 
     value: LinkValue
     min_cut: int
-
-
-@dataclass(frozen=True)
-class DualCapacity:
-    """Value and optimal cut mixture of the adversary's side of the game."""
-
-    value: LinkValue
-    cut_probs: Mapping[int, LinkValue]
-    arithmetic: str
 
 
 # ---------------------------------------------------------------------------
@@ -511,27 +500,6 @@ def _game_primal(matrix: np.ndarray, exact: bool):
     return (value if exact else scale * value), cols, rows
 
 
-def _game_dual(matrix: np.ndarray, exact: bool):
-    """Value and minimizing row mixture of the same game: the mixture p
-    over rows minimizing the best column average ``max_j (p^T G)_j``.
-
-    Symmetric derivation: p caps the ceiling at V exactly when
-    ``(G + K)^T p <= (V + K) * 1``, so the normalized LP over the shifted
-    transpose returns ``1/sum(x) = V + K`` and ``p = x/sum(x)``.
-    :func:`_game_primal` reads the same mixture off its own final prices;
-    this separate transposed solve serves :func:`dual_capacity` as an
-    independent route to the value.
-    """
-    one = Fraction(1) if exact else 1.0
-    scale = 1.0
-    if not exact:
-        matrix, scale = _unit_scaled(matrix)
-    shift = one - matrix.min()
-    inv, weights, _ = _normalized_floor_lp((matrix + shift).T.tolist(), exact)
-    value = inv - shift
-    return (value if exact else scale * value), weights
-
-
 def _clean_weights(masks: Sequence[int], weights: Sequence, exact: bool) -> dict[int, LinkValue]:
     floor = 0 if exact else 1e-12
     out: dict[int, LinkValue] = {}
@@ -649,130 +617,47 @@ def hd_capacity(
     )
 
 
-def dual_capacity(
-    net: DiamondNetwork,
-    arithmetic: str = "float",
-    *,
-    guard: int = _DUAL_GUARD,
-) -> DualCapacity:
-    """Adversary-side oracle for the HD value: materializes the full payoff
-    matrix over the finite-FD cuts and solves the min-max LP densely.
+def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
+    """An optimal schedule with at most ``n + 1`` active states, or None when
+    the capacity is unbounded.
 
-    An independent route to the same number as :func:`hd_capacity` (which
-    generates strategies incrementally); keeping both honest against each
-    other is the point.  The dense matrix caps the practical size, hence the
-    smaller default guard.
+    Such a schedule always exists (the game value lies in the convex hull of
+    at most n+1 state columns), and the schedule of :func:`hd_capacity` is
+    returned as it is whenever it is that sparse.  Otherwise the fallback
+    solves restricted games over every state subset of size at most n+1
+    until one attains the capacity within 1e-8 (None if none does); it
+    raises :class:`GuardExceeded` past ``n = 4``.
     """
-    exact = _check_arithmetic(arithmetic)
-    n = net.n
-    if n > guard:
-        raise GuardExceeded(f"dual_capacity on {n} relays exceeds guard {guard}")
-    size = 1 << n
-    maxl, maxr = _tables(net, exact)
-    kept = [int(a) for a in np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)]
-
-    arith = "rational" if exact else "float"
-    if not kept:
-        return DualCapacity(UNBOUNDED, {}, arith)
-
-    matrix = _payoff(maxl, maxr, kept, np.arange(size))
-    _lp_value, mu = _game_dual(matrix, exact)
-    cut_probs = _clean_weights(kept, mu, exact)
-
-    # Certify directly from the cut mixture: its guaranteed ceiling is the
-    # worst (largest) mixed cut value over all states.  Swapping the two
-    # subset-max tables turns the scheduled-cut-value kernel into exactly
-    # this state-indexed average, so the certificate shares the primal
-    # certificate's code path rather than trusting the LP's own objective.
-    value = _cut_values(n, maxr, maxl, sorted(cut_probs.items())).max()
-    return DualCapacity(value if exact else float(value), cut_probs, arith)
-
-
-def sparsify_schedule(
-    net: DiamondNetwork,
-    target_value: LinkValue | None = None,
-    *,
-    tol: float = 1e-8,
-    guard: int = 4,
-) -> Schedule | None:
-    """Find a schedule with at most ``n + 1`` active states whose rate is
-    within ``tol`` of ``target_value`` (the HD capacity when omitted).
-
-    An optimal schedule this sparse always exists (the game value lies in
-    the convex hull of at most n+1 state columns), but this routine promises
-    honesty over speed: it first searches the states made tight by an
-    optimal cut mixture, then falls back to exhaustive subset search, and
-    returns None rather than an approximation if nothing qualifies.
-    """
-    n = net.n
-    if n > guard:
-        raise GuardExceeded(f"sparsify_schedule on {n} relays exceeds guard {guard}")
-    if target_value is None:
-        target_value = hd_capacity(net).value
-    if is_unbounded(target_value):
+    res = hd_capacity(net)
+    if is_unbounded(res.value):
         return None
-    target = float(target_value)
-    size = 1 << n
+    if len(res.optimal_schedule.support) <= net.n + 1:
+        return res.optimal_schedule
+    return _sparse_by_search(net, float(res.value))
 
+
+def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
+    """First restricted game over at most n+1 states whose schedule's rate
+    over the finite-FD cuts is within 1e-8 of ``target``, the capacity."""
+    n = net.n
+    if n > _SEARCH_GUARD:
+        raise GuardExceeded(
+            f"sparsify_schedule search on {n} relays exceeds guard {_SEARCH_GUARD}"
+        )
+    tol = 1e-8
     maxl, maxr = _tables(net, False)
     kept = np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)
-    if not kept.size:
-        return None
-
-    def kept_min(sched_probs: dict[int, float]) -> float:
-        return _cut_values(n, maxl, maxr, sorted(sched_probs.items()))[kept].min()
-
-    def blend_down(probs: dict[int, float]) -> dict[int, float] | None:
-        # The restricted game beat the target; walk the rate down by mixing
-        # toward the all-listen state (rate 0: the empty cut charges it
-        # nothing), bisecting on the mixing weight.
-        if 0 not in probs and len(probs) > n:
-            return None  # no room for one more state
-        lo, hi = 0.0, 1.0  # rate(lo) >= target >= rate(hi)
-        for _ in range(80):
-            mid = (lo + hi) / 2
-            mixed = {s: (1 - mid) * p for s, p in probs.items()}
-            mixed[0] = mixed.get(0, 0.0) + mid
-            r = kept_min(mixed)
-            if abs(r - target) <= tol / 2:
-                return mixed
-            if r >= target:
-                lo = mid
-            else:
-                hi = mid
-        return None
-
-    def attempt(states: tuple[int, ...]) -> Schedule | None:
-        matrix = _payoff(maxl, maxr, kept, states)
-        try:
-            value, lam, _ = _game_primal(matrix, False)
-        except SolverFailure:
-            return None
-        if value < target - tol:
-            return None
-        probs = _clean_weights(states, lam, False)
-        if not probs:
-            return None
-        if kept_min(probs) > target + tol:
-            probs = blend_down(probs)
-            if probs is None:
-                return None
-        if abs(kept_min(probs) - target) > tol:
-            return None
-        return Schedule(n, probs)
-
-    dual = dual_capacity(net)
-    col = _cut_values(n, maxr, maxl, dual.cut_probs.items())
-    tight_states = [int(s) for s in np.nonzero(col >= float(dual.value) - 1e-7)[0]]
-
-    tried: set[tuple[int, ...]] = set()
-    for pool in (tight_states, list(range(size))):
-        for k in range(1, n + 2):
-            for combo in combinations(pool, k):
-                if combo in tried:
-                    continue
-                tried.add(combo)
-                found = attempt(combo)
-                if found is not None:
-                    return found
+    for k in range(1, n + 2):
+        for states in combinations(range(1 << n), k):
+            try:
+                value, lam, _ = _game_primal(_payoff(maxl, maxr, kept, states), False)
+            except SolverFailure:
+                continue
+            probs = _clean_weights(states, lam, False)
+            if value < target - tol or not probs:
+                continue
+            # Certificate: the schedule's own rate, not the LP's objective.
+            rate = _cut_values(n, maxl, maxr, sorted(probs.items()))[kept].min()
+            if abs(rate - target) <= tol:
+                return Schedule(n, probs)
     return None

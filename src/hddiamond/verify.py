@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .capacity import (
-    fd_capacity,
+    fd_capacity_fast,
     fixed_schedule_rate,
     hd_capacity,
     single_relay_capacity,
@@ -355,7 +355,7 @@ def _suite_theorem3(trials: int, seed: int, n_max: int) -> SuiteReport:
             # exact-arithmetic sandwich (two-phase rate = FD bound = 1) and
             # the best subnetworks by exact small solves.
             lower = fixed_schedule_rate(net, gen_two_phase_schedule(n)).value
-            upper = fd_capacity(net).value
+            upper = fd_capacity_fast(net)
             full_ok = lower == 1 == upper
             singles = [
                 single_relay_capacity(net.uplinks[i], net.downlinks[i])
@@ -398,9 +398,9 @@ def _suite_theorem3(trials: int, seed: int, n_max: int) -> SuiteReport:
 def _suite_sparsify(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("sparsify")
     rng = np.random.default_rng(seed)
-    n_cap = max(2, min(4, n_max))
+    n_max = max(2, n_max)
     for t in range(trials):
-        n = int(rng.integers(2, n_cap + 1))
+        n = int(rng.integers(2, n_max + 1))
         net = _random_net(rng, n)
         cap = hd_capacity(net).value
         sched = sparsify_schedule(net)

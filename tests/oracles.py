@@ -1,0 +1,94 @@
+"""Dense test oracle for the half-duplex value: the adversary's side of the
+scheduling game, solved as one LP over the full payoff matrix.
+
+An independent route to the number :func:`hddiamond.hd_capacity` computes by
+strategy generation: it solves the transposed game (the cut player's LP)
+rather than reading the cut mixture off the schedule LP's prices, and
+certifies its value from that mixture by a scan over every state.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Mapping
+
+import numpy as np
+
+from hddiamond import UNBOUNDED, DiamondNetwork, GuardExceeded, LinkValue
+from hddiamond.capacity import (
+    _check_arithmetic,
+    _clean_weights,
+    _cut_values,
+    _normalized_floor_lp,
+    _payoff,
+    _tables,
+    _unit_scaled,
+)
+
+_DUAL_GUARD = 10  # dual_capacity materializes a dense (cuts x states) matrix
+
+
+@dataclass(frozen=True)
+class DualCapacity:
+    """Value and optimal cut mixture of the adversary's side of the game."""
+
+    value: LinkValue
+    cut_probs: Mapping[int, LinkValue]
+    arithmetic: str
+
+
+def _game_dual(matrix: np.ndarray, exact: bool):
+    """Value and minimizing row mixture of a finite matrix game: the mixture
+    p over rows minimizing the best column average ``max_j (p^T G)_j``.
+
+    p caps the ceiling at V exactly when ``(G + K)^T p <= (V + K) * 1``, so
+    the normalized LP over the shifted transpose returns ``1/sum(x) = V + K``
+    and ``p = x/sum(x)``.  ``hd_capacity`` reads the same mixture off its own
+    schedule LP's final prices; this separate transposed solve is the
+    independent route.
+    """
+    one = Fraction(1) if exact else 1.0
+    scale = 1.0
+    if not exact:
+        matrix, scale = _unit_scaled(matrix)
+    shift = one - matrix.min()
+    inv, weights, _ = _normalized_floor_lp((matrix + shift).T.tolist(), exact)
+    value = inv - shift
+    return (value if exact else scale * value), weights
+
+
+def dual_capacity(
+    net: DiamondNetwork,
+    arithmetic: str = "float",
+    *,
+    guard: int = _DUAL_GUARD,
+) -> DualCapacity:
+    """Adversary-side oracle for the HD value: materializes the full payoff
+    matrix over the finite-FD cuts and solves the min-max LP densely.
+
+    The dense matrix caps the practical size, hence the guard of 10 relays.
+    """
+    exact = _check_arithmetic(arithmetic)
+    n = net.n
+    if n > guard:
+        raise GuardExceeded(f"dual_capacity on {n} relays exceeds guard {guard}")
+    size = 1 << n
+    maxl, maxr = _tables(net, exact)
+    kept = [int(a) for a in np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)]
+
+    arith = "rational" if exact else "float"
+    if not kept:
+        return DualCapacity(UNBOUNDED, {}, arith)
+
+    matrix = _payoff(maxl, maxr, kept, np.arange(size))
+    _lp_value, mu = _game_dual(matrix, exact)
+    cut_probs = _clean_weights(kept, mu, exact)
+
+    # Certify directly from the cut mixture: its guaranteed ceiling is the
+    # worst (largest) mixed cut value over all states.  Swapping the two
+    # subset-max tables turns the scheduled-cut-value kernel into exactly
+    # this state-indexed average, so the certificate shares the primal
+    # certificate's code path rather than trusting the LP's own objective.
+    value = _cut_values(n, maxr, maxl, sorted(cut_probs.items())).max()
+    return DualCapacity(value if exact else float(value), cut_probs, arith)

@@ -22,7 +22,6 @@ from hddiamond import (
     check_threshold_sum_inequality,
     derive_natural_schedule,
     drop_worst,
-    dual_capacity,
     fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
@@ -42,6 +41,7 @@ from hddiamond import (
 )
 
 from conftest import record_acceptance
+from oracles import dual_capacity
 
 TOL_REGRESSION = 1e-9
 TOL_CROSS = 1e-6

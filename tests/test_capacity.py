@@ -16,7 +16,6 @@ from hddiamond import (
     Schedule,
     SolverFailure,
     cut_state_value,
-    dual_capacity,
     fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
@@ -29,6 +28,7 @@ from hddiamond import (
     sparsify_schedule,
 )
 from hddiamond.flow import FlowGraph, max_flow
+from oracles import dual_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +440,6 @@ class TestDualConsistency:
             )
             assert dual_capacity(net, "rational").value == hd_capacity(net, "rational").value
 
-    def test_dual_guard(self):
-        with pytest.raises(GuardExceeded):
-            dual_capacity(gen_random(11, seed=0))
-
     def test_cut_mixture_is_distribution(self):
         dual = dual_capacity(gen_random(4, seed=5))
         total = sum(dual.cut_probs.values())
@@ -491,13 +487,7 @@ class TestOneLPPerRound:
                 [cut_state_value(net, a, s) for s in states] for a in cuts
             ]
 
-    def test_hd_capacity_never_solves_the_transposed_game(self, monkeypatch):
-        import hddiamond.capacity as capacity
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("hd_capacity called _game_dual")
-
-        monkeypatch.setattr(capacity, "_game_dual", refuse)
+    def test_pinned_values_attained_by_own_schedule(self):
         assert hd_capacity(gen_worst_case(6), "rational").value == 1
         assert hd_capacity(gen_half_tight(4), "rational").value == 1
         for (n, seed), value in {
@@ -591,9 +581,42 @@ class TestSparsify:
             assert len(sched.support) <= n + 1
             assert fixed_schedule_rate(net, sched).value >= cap - 1e-8
 
-    def test_guard(self):
+    def test_larger_nets_keep_own_schedule(self):
+        for n in range(5, 9):
+            for seed in range(3):
+                net = gen_random(n, seed=seed + 500)
+                res = hd_capacity(net)
+                sched = sparsify_schedule(net)
+                assert len(sched.support) <= n + 1
+                assert fixed_schedule_rate(net, sched).value == res.value
+
+    def test_fallback_search(self, monkeypatch):
+        # hd_capacity reporting a full-support schedule at the true value
+        # sends sparsify_schedule to the subset search.
+        true_hd = capacity.hd_capacity
+
+        def dense(net):
+            res = true_hd(net)
+            return capacity.CapacityResult(
+                res.value, Schedule.uniform(net.n), res.tight_cuts, res.arithmetic
+            )
+
+        monkeypatch.setattr(capacity, "hd_capacity", dense)
+        for n in (2, 3, 4):
+            net = gen_random(n, seed=n + 398)
+            sched = sparsify_schedule(net)
+            assert len(sched.support) <= n + 1
+            rate = fixed_schedule_rate(net, sched).value
+            assert rate == pytest.approx(true_hd(net).value, rel=0, abs=1e-8)
         with pytest.raises(GuardExceeded):
             sparsify_schedule(gen_random(5, seed=0))
+
+    def test_fast_path_needs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparsify_schedule fell back to the subset search")
+
+        monkeypatch.setattr(capacity, "_sparse_by_search", refuse)
+        self.test_support_bound_and_rate()
 
     def test_unbounded_target_returns_none(self):
         net = DiamondNetwork((UNBOUNDED,), (UNBOUNDED,))
