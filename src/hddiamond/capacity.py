@@ -25,6 +25,9 @@ the same self-contained simplex engine and the same numpy cut scans (on
 object arrays in exact mode); the game is solved by deterministic
 strategy generation (grow small cut/state subsets by exact best-response
 scans), so the full ``2**n x 2**n`` payoff matrix is never materialized.
+Rational ``hd_capacity`` runs that loop twice: in float first, then in
+exact arithmetic from the float solve's support, stopping only on the
+exact certificate.
 """
 
 from __future__ import annotations
@@ -534,6 +537,14 @@ def hd_capacity(
     reached), so the reported schedule is the reduced game's maximizer and
     ``tight_cuts`` lists the finite-FD cuts that pin its value.
 
+    Rational mode first solves the game in float on the float values of the
+    links, then runs the exact rounds from that solve's final support (its
+    states of positive weight and cuts of positive price).  The exact rounds
+    stop only on the exact certificate, so the float pass changes how many
+    exact rounds are needed, never the value.  When the float pass cannot
+    run (a link too large for a float) or fails, the exact rounds start from
+    the default pools alone.
+
     ``guard`` caps the relay count (default 16, or the HDDIAMOND_LP_GUARD
     environment variable); past it, raise instead of grinding.
     """
@@ -542,7 +553,30 @@ def hd_capacity(
     g = _effective_guard(guard)
     if n > g:
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
+    if not exact:
+        return _solve(net, False)[0]
+    try:
+        _, states, cuts = _solve(net, False)
+    except (OverflowError, SolverFailure):
+        states, cuts = (), ()
+    return _solve(net, True, states, cuts)[0]
 
+
+def _solve(
+    net: DiamondNetwork,
+    exact: bool,
+    states: Iterable[int] = (),
+    cuts: Iterable[int] = (),
+) -> tuple[CapacityResult, tuple[int, ...], tuple[int, ...]]:
+    """The double-oracle loop of :func:`hd_capacity` in one arithmetic.
+
+    ``states`` and ``cuts`` seed the pools: they only add entries to the
+    default start (seeded cuts with infinite FD value are dropped), and the
+    loop stops on the same certificate whatever the seeds.  Returns the
+    result with the final support of both mixtures: the states of positive
+    weight and the cuts of positive price (both empty when no LP ran).
+    """
+    n = net.n
     size = 1 << n
     arith = "rational" if exact else "float"
     maxl, maxr = _tables(net, exact)
@@ -550,22 +584,25 @@ def hd_capacity(
     if not kept.any():
         # Every cut has infinite FD value, so the HD value is infinite too
         # (any schedule with full support certifies it).
-        return CapacityResult(
+        unbounded = CapacityResult(
             value=UNBOUNDED,
             optimal_schedule=Schedule.uniform(n),
             tight_cuts=(0,),
             arithmetic=arith,
         )
+        return unbounded, (), ()
 
     eps = Fraction(0) if exact else 1e-11
 
     # Strategy generation: start from the bookend cuts and the natural
-    # two-phase states, then alternate exact best-response scans with small
-    # sub-game solves until neither side can improve.  One LP per round
-    # gives both mixtures: the schedule from its solution, the cut mixture
-    # from its final prices.
-    cut_pool = sorted({int(a) for a in np.flatnonzero(kept)[[0, -1]]})
-    state_pool = {0, size - 1}
+    # two-phase states, plus the seeds, then alternate exact best-response
+    # scans with small sub-game solves until neither side can improve.  One
+    # LP per round gives both mixtures: the schedule from its solution, the
+    # cut mixture from its final prices.
+    cut_pool = {int(a) for a in np.flatnonzero(kept)[[0, -1]]}
+    cut_pool.update(int(a) for a in cuts if kept[a])
+    cut_pool = sorted(cut_pool)
+    state_pool = {0, size - 1, *(int(s) for s in states)}
     if n >= 2:
         state_pool.update(gen_two_phase_schedule(n).support)
     state_pool = sorted(state_pool)
@@ -609,12 +646,13 @@ def hd_capacity(
     tol = 0 if exact else 1e-9 * max(1.0, abs(value))
     tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= value + tol))
 
-    return CapacityResult(
+    result = CapacityResult(
         value=value if exact else float(value),
         optimal_schedule=Schedule(n, probs),
         tight_cuts=tight,
         arithmetic=arith,
     )
+    return result, tuple(probs), tuple(cut_probs)
 
 
 def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:

@@ -542,6 +542,107 @@ class TestFormerPivotStall:
         assert ref.fun == pytest.approx(res.value, rel=1e-9)
 
 
+def _float_then_exact_corpus() -> list[DiamondNetwork]:
+    """Exact-link random nets, both hard families (unbounded links) and a
+    net on which the float pass raises SolverFailure."""
+    cut = lambda v: F(v).limit_denominator(100)
+    nets = []
+    for n in range(2, 7):
+        for seed in range(3):
+            net = gen_random(n, seed=seed)
+            nets.append(DiamondNetwork(tuple(map(cut, net.uplinks)), tuple(map(cut, net.downlinks))))
+    nets += [gen_worst_case(n) for n in range(2, 9)]
+    nets += [gen_half_tight(n) for n in range(2, 9)]
+    nets.append(DiamondNetwork((1e7, 0.1, 0), (1e-6, 0.1, 1e4)))
+    return nets
+
+
+@pytest.fixture(scope="module")
+def seeded_vs_unseeded():
+    """Per corpus net: (net, rational hd_capacity, its exact LPs, unseeded
+    exact ``_solve``, its exact LPs).  Exact LPs are the ``_game_primal``
+    calls on object-dtype matrices."""
+    exact_lps = []
+    real = capacity._game_primal
+
+    def counting(matrix, exact):
+        if matrix.dtype == object:
+            exact_lps.append(matrix.shape)
+        return real(matrix, exact)
+
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(capacity, "_game_primal", counting)
+        for net in _float_then_exact_corpus():
+            exact_lps.clear()
+            seeded = hd_capacity(net, "rational")
+            seeded_lps = len(exact_lps)
+            exact_lps.clear()
+            unseeded = capacity._solve(net, True)[0]
+            rows.append((net, seeded, seeded_lps, unseeded, len(exact_lps)))
+    return rows
+
+
+class TestFloatThenExact:
+    """Rational hd_capacity solves in float first and seeds the exact rounds
+    with the float solve's support; the exact certificate alone stops them."""
+
+    def test_values_match_unseeded_exact_solve(self, seeded_vs_unseeded):
+        for net, seeded, _, unseeded, _ in seeded_vs_unseeded:
+            assert seeded.value == unseeded.value, net
+            assert type(seeded.value) is type(unseeded.value)
+            assert isinstance(seeded.value, (int, F))
+            assert seeded.arithmetic == "rational"
+            assert all(isinstance(p, (int, F)) for p in seeded.optimal_schedule.probs.values())
+
+    def test_seeds_never_add_exact_lps(self, seeded_vs_unseeded):
+        for net, _, seeded_lps, _, unseeded_lps in seeded_vs_unseeded:
+            assert seeded_lps <= unseeded_lps, net
+        assert sum(r[2] for r in seeded_vs_unseeded) < sum(r[4] for r in seeded_vs_unseeded)
+
+    def test_finite_schedule_attains_value(self, seeded_vs_unseeded):
+        for net, seeded, _, _, _ in seeded_vs_unseeded:
+            if all(isinstance(v, (int, F)) for v in net.uplinks + net.downlinks):
+                assert fixed_schedule_rate(net, seeded.optimal_schedule).value == seeded.value
+
+    def test_failed_float_pass_runs_unseeded(self, monkeypatch, seeded_vs_unseeded):
+        real = capacity._solve
+
+        def float_fails(net, exact, states=(), cuts=()):
+            if not exact:
+                raise SolverFailure("float pass patched to fail")
+            assert not states and not cuts
+            return real(net, exact, states, cuts)
+
+        monkeypatch.setattr(capacity, "_solve", float_fails)
+        for net, seeded, _, unseeded, _ in seeded_vs_unseeded[::3]:
+            res = hd_capacity(net, "rational")
+            assert res.value == seeded.value
+            assert res == unseeded
+
+    def test_float_pass_fails_on_wide_spread(self):
+        net = DiamondNetwork((1e7, 0.1, 0), (1e-6, 0.1, 1e4))
+        with pytest.raises(SolverFailure):
+            capacity._solve(net, False)
+
+    def test_link_too_large_for_a_float(self):
+        big = 10**400
+        net = DiamondNetwork((big, 1), (1, big))
+        with pytest.raises(OverflowError):
+            capacity._solve(net, False)
+        res = hd_capacity(net, "rational")
+        assert res.value == F(2 * big, big + 1)
+        assert type(res.value) is F
+
+    def test_seeds_only_add_kept_cuts(self):
+        for net in (gen_worst_case(5), gen_half_tight(4), DiamondNetwork((F(1, 2), 3), (2, F(1, 3)))):
+            full = (1 << net.n) - 1
+            seeded, _, cuts = capacity._solve(net, True, range(full + 1), range(full + 1))
+            assert seeded.value == capacity._solve(net, True)[0].value
+            # Against the complementary state a cut's payoff is its FD value.
+            assert all(cut_state_value(net, a, full - a) != UNBOUNDED for a in cuts)
+
+
 class TestFloatWideSpreadDefects:
     """Known float defects on wide magnitude spreads.  Strict xfails: each
     flips to a failure once float mode is tight on its input (for instance

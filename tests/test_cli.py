@@ -267,6 +267,15 @@ class TestVerify:
             main(["verify", "--suite", "nonsense"])
         assert exc.value.code == 2
 
+    def test_no_trials_exits_2(self, capsys):
+        for trials in ("0", "-3"):
+            code, out, err = run(
+                capsys, "verify", "--suite", "guarantees", "--trials", trials
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: bad --trials {trials}")
+
     def test_seeded_reports_match(self, capsys):
         args = ("verify", "--suite", "partition", "--trials", "4", "--seed", "3")
         _, out1, _ = run(capsys, *args)
