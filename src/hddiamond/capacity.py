@@ -438,13 +438,14 @@ def _normalized_floor_lp(a_ub: list[list], exact: bool):
     every entry >= 1, returned as ``(1/sum(x), x/sum(x), w/sum(w))`` where
     w are the optimal row prices of the same solve.
 
-    This is the shift-normalized matrix-game workhorse: the all-slack basis
-    is feasible (rhs is all ones, never the degenerate all-zeros of the
-    value-variable formulation), there are no equality rows, no free
-    variables, and no phase-1 artificials, so the float tableau stays well
-    conditioned and the final objective row carries the dual solution:
-    ``A^T w >= 1, w >= 0`` with ``sum(w) = sum(x)``.  Entries >= 1 make the
-    LP bounded: each constraint row alone caps sum(x) at 1.
+    This is the shift-normalized matrix-game workhorse and the shape the
+    one-phase :func:`solve_lp` is built for: the all-slack basis is feasible
+    (rhs is all ones, never the degenerate all-zeros of the value-variable
+    formulation), so the float tableau stays well conditioned and the final
+    objective row carries the dual solution: ``A^T w >= 1, w >= 0`` with
+    ``sum(w) = sum(x)``.  Entries >= 1 make the LP bounded: each constraint
+    row alone caps sum(x) at 1.  ``a_ub`` stays a list of lists, as
+    ``solve_lp`` takes it.
     """
     rows = len(a_ub)
     cols = len(a_ub[0])

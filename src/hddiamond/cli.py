@@ -31,7 +31,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .capacity import fd_capacity, hd_capacity
+from .capacity import _scalar, fd_capacity, hd_capacity
 from .errors import BoundViolation, GuardExceeded, NetworkFormatError, SolverFailure
 from .network import (
     UNBOUNDED,
@@ -107,8 +107,8 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     else:
         if args.exact:
             net = DiamondNetwork(
-                tuple(v if isinstance(v, float) and v == UNBOUNDED else Fraction(v) for v in net.uplinks),
-                tuple(v if isinstance(v, float) and v == UNBOUNDED else Fraction(v) for v in net.downlinks),
+                tuple(_scalar(v, True) for v in net.uplinks),
+                tuple(_scalar(v, True) for v in net.downlinks),
                 name=net.name,
             )
         res = fd_capacity(net)

@@ -29,8 +29,8 @@ class BoundViolation(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The LP engine returned an unexpected status (infeasible/unbounded) for
-    a program that is structurally feasible and bounded, or ran out of pivot
-    budget. Indicates a bug or pathological conditioning, not bad input.
+    """The LP engine reported a program that is structurally bounded as
+    unbounded, could not settle or refeasibilize a float basis, or ran out of
+    pivot budget. Indicates a bug or pathological conditioning, not bad input.
     Float mode can hit it on extreme magnitude spreads that rational mode
     solves. The CLI exits 5 on it."""

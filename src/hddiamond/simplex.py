@@ -1,13 +1,15 @@
-"""Dense two-phase simplex for small linear programs.
+"""Dense one-phase simplex for small linear programs.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  with no
-external solver.  Two interchangeable arithmetic modes share one code path:
-float64 (numpy) and exact rational (``fractions.Fraction`` in object
-arrays).  The programs this package generates are matrix-game programs with
+Solves  min c.x  s.t.  A_ub x <= b_ub,  x >= 0  with ``b_ub >= 0`` and no
+external solver.  Every program this package poses has that shape (the
+restricted matrix games of :func:`hddiamond.hd_capacity`, with rhs all
+ones), so the all-slack basis is feasible from the start and one phase
+reaches the optimum.  The tableau's dtype carries the arithmetic: float64,
+or an object array of ``fractions.Fraction`` when exact.  The programs have
 at most a few thousand rows/columns, so a dense tableau is the simple and
-fast-enough choice.  An optimal all-slack-start LP also reports its dual
-solution, read off the final objective row, so one solve yields both
-players' mixtures of a matrix game.
+fast-enough choice.  An optimal result also reports the dual solution, read
+off the final objective row, so one solve yields both players' mixtures of
+a matrix game.
 
 Pivoting: Dantzig's most-negative-reduced-cost entering rule with a
 deterministic lowest-index tie-break, and the lexicographic minimum-ratio
@@ -31,12 +33,12 @@ __all__ = ["LPResult", "solve_lp"]
 
 @dataclass(frozen=True)
 class LPResult:
-    """``duals`` are the optimal row prices ``w >= 0`` of the ``A_ub`` rows:
-    ``c + A_ub^T w >= 0`` and ``b_ub . w == -objective``.  They are reported
-    only for an optimal LP that started from the all-slack basis (``<=`` rows
-    with ``b_ub >= 0`` and no equality rows); otherwise they are None."""
+    """An optimal result carries ``x``, its ``objective`` and ``duals``: the
+    optimal row prices ``w >= 0`` of the ``A_ub`` rows, with
+    ``c + A_ub^T w >= 0`` and ``b_ub . w == -objective``.  An unbounded
+    result carries None in all three."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     objective: float | Fraction | None
     x: tuple | None
     duals: tuple | None = None
@@ -53,44 +55,10 @@ class LPResult:
 # "step" that walks the basis out of the feasible region.
 _EPS_ZERO_RHS = 1e-11
 
-
-class _Mode:
-    """Arithmetic-mode shims so both code paths stay identical."""
-
-    def __init__(self, exact: bool):
-        self.exact = exact
-        if exact:
-            self.zero = Fraction(0)
-            self.eps_rc = Fraction(0)      # reduced-cost threshold
-            self.eps_piv = Fraction(0)     # smallest usable pivot
-            self.eps_feas = Fraction(0)    # feasibility tolerance
-            self.tie = Fraction(0)
-        else:
-            self.zero = 0.0
-            self.eps_rc = 1e-9
-            self.eps_piv = 1e-8
-            self.eps_feas = 1e-8
-            self.tie = 1e-9
-
-    def num(self, v) -> float | Fraction:
-        if self.exact:
-            return v if isinstance(v, Fraction) else Fraction(v)
-        return float(v)
-
-    def array(self, rows: int, cols: int) -> np.ndarray:
-        if self.exact:
-            return np.full((rows, cols), Fraction(0), dtype=object)
-        return np.zeros((rows, cols))
-
-    def vector(self, cols: int) -> np.ndarray:
-        if self.exact:
-            return np.full(cols, Fraction(0), dtype=object)
-        return np.zeros(cols)
-
-    def values(self, vals: Sequence) -> np.ndarray:
-        if self.exact:
-            return np.array([self.num(v) for v in vals], dtype=object)
-        return np.array(vals, dtype=float)
+# Tolerances keyed by exactness: (reduced-cost threshold, smallest usable
+# pivot, feasibility tolerance, ratio tie width).  Exact arithmetic needs
+# none of them.
+_TOL = {False: (1e-9, 1e-8, 1e-8, 1e-9), True: (0, 0, 0, 0)}
 
 
 def _pivot(t: np.ndarray, obj: np.ndarray | None, basis: list[int], row: int, col: int) -> None:
@@ -108,16 +76,7 @@ def _pivot(t: np.ndarray, obj: np.ndarray | None, basis: list[int], row: int, co
     basis[row] = col
 
 
-def _priced_objective(t: np.ndarray, basis: list[int], c_full: np.ndarray, mode: _Mode) -> np.ndarray:
-    obj = mode.vector(t.shape[1])
-    obj[: c_full.shape[0]] = c_full
-    for i, b in enumerate(basis):
-        if obj[b] != 0:
-            obj = obj - obj[b] * t[i]
-    return obj
-
-
-def _lexico_less(t: np.ndarray, i: int, ai, j: int, aj, mode: _Mode) -> bool:
+def _lexico_less(t: np.ndarray, i: int, ai, j: int, aj, tie) -> bool:
     """Is row i's ratio vector lexicographically below row j's?
 
     Compares ``t[i] / ai`` against ``t[j] / aj`` entry by entry, rhs first
@@ -129,9 +88,9 @@ def _lexico_less(t: np.ndarray, i: int, ai, j: int, aj, mode: _Mode) -> bool:
     order = [ncols - 1] + list(range(ncols - 1))
     for k in order:
         d = t[i, k] / ai - t[j, k] / aj
-        if d < -mode.tie:
+        if d < -tie:
             return True
-        if d > mode.tie:
+        if d > tie:
             return False
     return False
 
@@ -141,19 +100,22 @@ def _refactor(
     obj: np.ndarray,
     basis: list[int],
     orig: np.ndarray,
-    c_full: np.ndarray,
-    mode: _Mode,
+    cost: np.ndarray,
 ) -> None:
     """Rebuild the float tableau as B^-1 [A | b] from the *original* system
     and the current basis, wiping out accumulated pivot roundoff, then
-    re-price the objective row.  The mathematical tableau is unchanged."""
+    re-price the objective row from the cost row ``cost``.  The
+    mathematical tableau is unchanged."""
     base = orig[:, basis]
     try:
         fresh = np.linalg.solve(base, orig)
     except np.linalg.LinAlgError:
         return  # singular to working precision: keep the pivoted tableau
     t[:] = fresh
-    obj[:] = _priced_objective(t, basis, c_full, mode)
+    obj[:] = cost
+    for i, b in enumerate(basis):
+        if obj[b] != 0:
+            obj -= obj[b] * t[i]
 
 
 _REFACTOR_EVERY = 64
@@ -163,10 +125,9 @@ def _dual_repair(
     t: np.ndarray,
     obj: np.ndarray,
     basis: list[int],
-    mode: _Mode,
     budget: list[int],
 ) -> bool:
-    """Drive negative basic values out of a dual-feasible basis.
+    """Drive negative basic values out of a dual-feasible float basis.
 
     Dual simplex: the leaving row is the most negative rhs entry, the
     entering column the dual ratio test over that row's negative entries.
@@ -176,19 +137,20 @@ def _dual_repair(
     each pivot keeps dual feasibility while restoring primal feasibility.
     Returns False if some infeasible row has no negative entry to pivot on.
     """
+    _, eps_piv, eps_feas, tie = _TOL[False]
     ncols = t.shape[1] - 1
     while True:
         row = int(np.argmin(t[:, -1]))
-        if t[row, -1] >= -mode.eps_feas:
+        if t[row, -1] >= -eps_feas:
             return True
         col = -1
         best = None
         for j in range(ncols):
             a = t[row, j]
-            if a < -mode.eps_piv:
+            if a < -eps_piv:
                 ratio = obj[j] / -a
-                if best is None or ratio < best - mode.tie or (
-                    ratio <= best + mode.tie and a < t[row, col]
+                if best is None or ratio < best - tie or (
+                    ratio <= best + tie and a < t[row, col]
                 ):
                     best, col = ratio, j
         if col < 0:
@@ -203,9 +165,8 @@ def _iterate(
     t: np.ndarray,
     obj: np.ndarray,
     basis: list[int],
-    mode: _Mode,
     budget: list[int],
-    c_full: np.ndarray,
+    cost: np.ndarray,
     orig: np.ndarray | None,
 ) -> str:
     """Run simplex pivots until optimal/unbounded. obj[-1] is -objective.
@@ -225,26 +186,28 @@ def _iterate(
     is feasible and priced out at the same time.  Exact mode needs none of
     this.
     """
+    exact = t.dtype == object
+    eps_rc, eps_piv, eps_feas, tie = _TOL[exact]
     ncols = t.shape[1] - 1
     refreshes = 0
     since_refactor = 0
     while True:
         col = -1
         j = int(np.argmin(obj[:ncols]))
-        if obj[j] < -mode.eps_rc:
+        if obj[j] < -eps_rc:
             col = j
         if col < 0:
-            if mode.exact:
+            if exact:
                 return "optimal"
-            _refactor(t, obj, basis, orig, c_full, mode)
+            _refactor(t, obj, basis, orig, cost)
             since_refactor = 0
-            if t[:, -1].min() < -mode.eps_feas:
-                if not _dual_repair(t, obj, basis, mode, budget):
+            if t[:, -1].min() < -eps_feas:
+                if not _dual_repair(t, obj, basis, budget):
                     raise SolverFailure("basis would not refeasibilize")
-                _refactor(t, obj, basis, orig, c_full, mode)
+                _refactor(t, obj, basis, orig, cost)
             j = int(np.argmin(obj[:ncols]))
-            if obj[j] >= -mode.eps_rc:
-                if t[:, -1].min() < -mode.eps_feas:
+            if obj[j] >= -eps_rc:
+                if t[:, -1].min() < -eps_feas:
                     raise SolverFailure("basis would not refeasibilize")
                 return "optimal"
             refreshes += 1
@@ -257,14 +220,14 @@ def _iterate(
         best_a = None
         for i in range(t.shape[0]):
             a = t[i, col]
-            if a > mode.eps_piv:
+            if a > eps_piv:
                 num = t[i, -1]
-                if not mode.exact and -_EPS_ZERO_RHS < num < _EPS_ZERO_RHS:
+                if not exact and -_EPS_ZERO_RHS < num < _EPS_ZERO_RHS:
                     num = 0.0  # degenerate to tolerance: noise must not set the step
                 ratio = num / a
-                if best is None or ratio < best - mode.tie:
+                if best is None or ratio < best - tie:
                     best, row, best_a = ratio, i, a
-                elif ratio <= best + mode.tie and _lexico_less(t, i, a, row, best_a, mode):
+                elif ratio <= best + tie and _lexico_less(t, i, a, row, best_a, tie):
                     best, row, best_a = ratio, i, a
         if row < 0:
             return "unbounded"
@@ -274,122 +237,69 @@ def _iterate(
         if budget[0] <= 0:
             raise SolverFailure("pivot budget exhausted")
         since_refactor += 1
-        if not mode.exact and since_refactor >= _REFACTOR_EVERY:
-            _refactor(t, obj, basis, orig, c_full, mode)
+        if not exact and since_refactor >= _REFACTOR_EVERY:
+            _refactor(t, obj, basis, orig, cost)
             since_refactor = 0
+
+
+def _values(vals: Sequence, exact: bool) -> np.ndarray:
+    if exact:
+        return np.array([v if isinstance(v, Fraction) else Fraction(v) for v in vals], dtype=object)
+    return np.array(vals, dtype=float)
 
 
 def solve_lp(
     c: Sequence,
-    a_ub: Sequence[Sequence] | None = None,
-    b_ub: Sequence | None = None,
-    a_eq: Sequence[Sequence] | None = None,
-    b_eq: Sequence | None = None,
+    a_ub: Sequence[Sequence],
+    b_ub: Sequence,
     *,
     exact: bool = False,
     max_pivots: int = 500_000,
 ) -> LPResult:
-    """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``A_eq x = b_eq``, ``x >= 0``.
+    """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``x >= 0``, for ``b_ub >= 0``.
 
-    An optimal result carries the primal solution ``x`` and, when no row
-    needed an artificial variable (no equality rows, no ``b_ub`` entry
-    below 0), the dual solution ``duals``: the slack columns' reduced costs
-    in the final objective row, one price per ``A_ub`` row.  With
-    artificials the starting basis is not all-slack and ``duals`` is None.
+    The solve starts from the all-slack basis, which ``b_ub >= 0`` makes
+    feasible, so a ``b_ub`` entry below 0 raises ``ValueError``.  An optimal
+    result carries the primal solution ``x`` and the dual solution
+    ``duals``: the slack columns' reduced costs in the final objective row,
+    one price per ``A_ub`` row.  With ``exact`` every number is a
+    ``Fraction``; otherwise a float.
     """
-    mode = _Mode(exact)
-    a_ub = [] if a_ub is None else a_ub
-    b_ub = [] if b_ub is None else b_ub
-    a_eq = [] if a_eq is None else a_eq
-    b_eq = [] if b_eq is None else b_eq
-    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+    if len(a_ub) != len(b_ub):
         raise ValueError("constraint matrix/rhs length mismatch")
-
-    nv = len(c)
-    m_ub, m_eq = len(a_ub), len(a_eq)
-    m = m_ub + m_eq
+    nv, m = len(c), len(a_ub)
     if m == 0:
         raise ValueError("no constraints")
+    if any(len(row) != nv for row in a_ub):
+        raise ValueError("A_ub row length mismatch")
+    rhs = _values(b_ub, exact)
+    if (rhs < 0).any():
+        raise ValueError("b_ub must be nonnegative")
 
-    for name, rows in (("A_ub", a_ub), ("A_eq", a_eq)):
-        if any(len(row) != nv for row in rows):
-            raise ValueError(f"{name} row length mismatch")
-
-    # Column layout: structural | slacks (one per ub row) | artificials | rhs.
-    # Rows are sign-normalized to rhs >= 0 first; a flipped ub row's slack
-    # gets coefficient -1 and the row needs an artificial, like eq rows.
-    coeffs = mode.values([v for row in (*a_ub, *a_eq) for v in row]).reshape(m, nv)
-    rhs = mode.values([*b_ub, *b_eq])
-    flipped = rhs < 0
-    coeffs[flipped] = -coeffs[flipped]
-    rhs[flipped] = -rhs[flipped]
-    art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
-    n_art = len(art_rows)
-    ncols = nv + m_ub + n_art
-
-    one = mode.num(1)
-    t = mode.array(m, ncols + 1)
-    t[:, :nv] = coeffs
+    # Column layout: structural | slacks (one per row) | rhs.
+    ncols = nv + m
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    dtype = object if exact else float
+    t = np.full((m, ncols + 1), zero, dtype=dtype)
+    t[:, :nv] = _values([v for row in a_ub for v in row], exact).reshape(m, nv)
     t[:, -1] = rhs
-    slack = np.arange(m_ub)
-    t[slack, nv + slack] = one
-    flipped_ub = np.flatnonzero(flipped[:m_ub])
-    t[flipped_ub, nv + flipped_ub] = -one
-    t[art_rows, nv + m_ub + np.arange(n_art)] = one
+    t[np.arange(m), nv + np.arange(m)] = one
     basis = [nv + i for i in range(m)]
-    for k, i in enumerate(art_rows.tolist()):
-        basis[i] = nv + m_ub + k
 
-    budget = [max_pivots]
+    # The slacks cost nothing, so the cost row is already the objective row
+    # priced out against the all-slack basis.
+    cost = np.full(ncols + 1, zero, dtype=dtype)
+    cost[:nv] = _values(c, exact)
+    obj = cost.copy()
     # Pristine copy of the initial system for float refactorization.
     orig = None if exact else t.copy()
-
-    if n_art:
-        c1 = mode.vector(ncols)
-        c1[nv + m_ub :] = mode.num(1)
-        obj1 = _priced_objective(t, basis, c1, mode)
-        status = _iterate(t, obj1, basis, mode, budget, c1, orig)
-        if status != "optimal" or -obj1[-1] > mode.eps_feas:
-            return LPResult("infeasible", None, None)
-        # Clear leftover degenerate artificials from the basis, then drop
-        # the artificial columns entirely.
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= nv + m_ub:
-                col = next(
-                    (j for j in range(nv + m_ub) if abs(t[i, j]) > mode.eps_piv),
-                    -1,
-                )
-                if col < 0:
-                    drop_rows.append(i)  # redundant constraint
-                else:
-                    _pivot(t, None, basis, i, col)
-                    budget[0] -= 1
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            t = t[keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-            if orig is not None:
-                orig = orig[keep]
-        t = np.concatenate([t[:, : nv + m_ub], t[:, -1:]], axis=1)
-        if orig is not None:
-            orig = np.concatenate([orig[:, : nv + m_ub], orig[:, -1:]], axis=1)
-        ncols = nv + m_ub
-
-    c2 = mode.vector(ncols)
-    c2[:nv] = mode.values(c)
-    obj2 = _priced_objective(t, basis, c2, mode)
-    status = _iterate(t, obj2, basis, mode, budget, c2, orig)
+    status = _iterate(t, obj, basis, [max_pivots], cost, orig)
     if status != "optimal":
         return LPResult(status, None, None)
 
-    x = [mode.zero] * nv
+    x = [zero] * nv
     for i, b in enumerate(basis):
         if b < nv:
             x[b] = t[i, -1]
-    objective = sum((xi * mode.num(ci) for xi, ci in zip(x, c)), mode.zero)
-    # Without artificials phase 2 starts from the all-slack basis, and the
-    # slack columns' reduced costs are the row prices.
-    duals = None if n_art else tuple(obj2[nv : nv + m_ub])
-    return LPResult("optimal", objective, tuple(x), duals)
+    objective = sum((xi * ci for xi, ci in zip(x, cost[:nv].tolist())), zero)
+    return LPResult("optimal", objective, tuple(x), tuple(obj[nv:ncols]))

@@ -453,9 +453,15 @@ SUITES = {
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0, n_max: int = 5) -> SuiteReport:
-    """Run one named suite and return its report (with wall time filled)."""
+    """Run one named suite and return its report (with wall time filled).
+
+    ``trials`` below 1 raises ``ValueError`` for every suite, also for the
+    ones that run fixed instances and ignore it."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; have {sorted(SUITES)}")
+    if trials < 1:
+        # A suite with no instances has no failures and would pass vacuously.
+        raise ValueError(f"trials must be at least 1, not {trials}")
     start = time.perf_counter()
     rep = SUITES[suite](trials, seed, n_max)
     rep.seconds = time.perf_counter() - start

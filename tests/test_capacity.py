@@ -634,6 +634,31 @@ class TestFloatThenExact:
         assert res.value == F(2 * big, big + 1)
         assert type(res.value) is F
 
+    def test_property_wide_spread(self):
+        # Exact links across fourteen orders of magnitude, with zero and
+        # unbounded links: the float pre-pass fails on some of these, and the
+        # exact rounds must still certify the value.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        links = st.sampled_from(
+            (0, UNBOUNDED) + tuple(10**e if e >= 0 else F(1, 10**-e) for e in range(-7, 8))
+        )
+
+        @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+        @hyp.given(data=st.data(), n=st.integers(2, 5))
+        def check(data, n):
+            up = data.draw(st.lists(links, min_size=n, max_size=n))
+            down = data.draw(st.lists(links, min_size=n, max_size=n))
+            net = DiamondNetwork(tuple(up), tuple(down))
+            res = hd_capacity(net, "rational")
+            best_single = max(single_relay_capacity(l, r) for l, r in zip(up, down))
+            assert best_single <= res.value <= fd_capacity_fast(net), net
+            if UNBOUNDED not in up + down:
+                assert type(res.value) in (int, F), net
+                assert fixed_schedule_rate(net, res.optimal_schedule).value == res.value, net
+
+        check()
+
     def test_seeds_only_add_kept_cuts(self):
         for net in (gen_worst_case(5), gen_half_tight(4), DiamondNetwork((F(1, 2), 3), (2, F(1, 3)))):
             full = (1 << net.n) - 1

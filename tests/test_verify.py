@@ -23,6 +23,14 @@ def test_unknown_suite():
         run_suite("nonsense")
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_no_trials_raises(suite):
+    # No instances means no failures: the report would pass vacuously.
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            run_suite(suite, trials=trials, seed=0, n_max=4)
+
+
 def test_reports_reproducible():
     a = run_suite("guarantees", trials=5, seed=11, n_max=4).to_dict()
     b = run_suite("guarantees", trials=5, seed=11, n_max=4).to_dict()
