@@ -25,9 +25,11 @@ the same self-contained simplex engine and the same numpy cut scans (on
 object arrays in exact mode); the game is solved by deterministic
 strategy generation (grow small cut/state subsets by exact best-response
 scans), so the full ``2**n x 2**n`` payoff matrix is never materialized.
-Rational ``hd_capacity`` runs that loop twice: in float first, then in
-exact arithmetic from the float solve's support, stopping only on the
-exact certificate.
+Each round's LP starts from the previous round's optimal basis.  Rational
+``hd_capacity`` runs that loop twice: in float first, then in exact
+arithmetic from the float solve's support, stopping only on the exact
+certificate.  Float ``hd_capacity`` runs it in exact arithmetic only when
+the float loop ends without a tight certificate.
 """
 
 from __future__ import annotations
@@ -259,6 +261,14 @@ def _float_tol(value: LinkValue) -> float:
     return 1e-12 * max(1.0, abs(value))
 
 
+def _escalate_gap(value: LinkValue) -> float:
+    """Largest ceiling-minus-floor gap a float ``hd_capacity`` returns as it
+    is; a wider one sends the game to exact arithmetic.  Relative, and
+    absolute below 1.  Float solves that settle leave gaps of a few 1e-9
+    relative at most; those that stop at a wrong vertex leave 1e-7 or more."""
+    return 1e-8 * max(1.0, abs(value))
+
+
 def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
     """:func:`fixed_schedule_rate` by one s-t minimum cut.
 
@@ -433,10 +443,11 @@ def single_relay_capacity(l: LinkValue, r: LinkValue) -> LinkValue:
 # The scheduling game
 # ---------------------------------------------------------------------------
 
-def _normalized_floor_lp(a_ub: list[list], exact: bool):
+def _normalized_floor_lp(a_ub: Sequence[Sequence], exact: bool, basis=None):
     """Optimal x of ``max sum(x)  s.t.  A x <= 1, x >= 0`` for a matrix with
-    every entry >= 1, returned as ``(1/sum(x), x/sum(x), w/sum(w))`` where
-    w are the optimal row prices of the same solve.
+    every entry >= 1, returned as ``(1/sum(x), x/sum(x), w/sum(w), basis)``
+    where w are the optimal row prices and ``basis`` the optimal basis of
+    the same solve.
 
     This is the shift-normalized matrix-game workhorse and the shape the
     one-phase :func:`solve_lp` is built for: the all-slack basis is feasible
@@ -444,20 +455,21 @@ def _normalized_floor_lp(a_ub: list[list], exact: bool):
     formulation), so the float tableau stays well conditioned and the final
     objective row carries the dual solution: ``A^T w >= 1, w >= 0`` with
     ``sum(w) = sum(x)``.  Entries >= 1 make the LP bounded: each constraint
-    row alone caps sum(x) at 1.  ``a_ub`` stays a list of lists, as
-    ``solve_lp`` takes it.
+    row alone caps sum(x) at 1.  ``a_ub`` is a sequence of rows (lists or
+    numpy rows), as ``solve_lp`` takes it; ``basis`` warm-starts the solve.
     """
     rows = len(a_ub)
     cols = len(a_ub[0])
     one = Fraction(1) if exact else 1.0
-    res = solve_lp([-one] * cols, a_ub, [one] * rows, exact=exact)
+    res = solve_lp([-one] * cols, a_ub, [one] * rows, exact=exact, basis=basis)
     if not res.ok:
         raise SolverFailure(f"game LP came back {res.status}")
     total = sum(res.x)
     if total <= 0:
         raise SolverFailure("game LP returned an empty mixture")
     prices = sum(res.duals)
-    return one / total, [x / total for x in res.x], [w / prices for w in res.duals]
+    return (one / total, [x / total for x in res.x], [w / prices for w in res.duals],
+            res.basis)
 
 
 def _unit_scaled(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -478,10 +490,11 @@ def _unit_scaled(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return matrix / scale, scale
 
 
-def _game_primal(matrix: np.ndarray, exact: bool):
-    """Value, maximizing column mixture and minimizing row mixture of a
-    finite matrix game where the column player picks a mixture q over
-    columns to maximize the worst row average ``min_i (G q)_i``.
+def _game_primal(matrix: np.ndarray, exact: bool, basis=None):
+    """Value, maximizing column mixture, minimizing row mixture and optimal
+    LP basis of a finite matrix game where the column player picks a
+    mixture q over columns to maximize the worst row average
+    ``min_i (G q)_i``.
 
     Derivation: a mixture q guarantees floor V exactly when
     ``(K - G) q <= (K - V) * 1`` for any constant K, so with K large enough
@@ -493,15 +506,21 @@ def _game_primal(matrix: np.ndarray, exact: bool):
     objective.)  The row mixture comes from the same solve's final prices:
     ``(K - G)^T w >= 1`` with ``sum(w) = 1/(K - V)``, so ``p = w/sum(w)``
     caps every column average ``(p^T G)_j`` at V.
+
+    ``basis`` (columns: one per game column, then one slack per game row)
+    warm-starts the LP.  Neither the shift nor the positive scale changes
+    which bases are feasible or optimal, so an optimal basis of a smaller
+    game, with the slacks of any added rows, is a valid start.
     """
     one = Fraction(1) if exact else 1.0
     scale = 1.0
     if not exact:
         matrix, scale = _unit_scaled(matrix)
     shift = one + matrix.max()
-    inv, cols, rows = _normalized_floor_lp((shift - matrix).tolist(), exact)
+    # The rows go in as numpy rows: no round trip through Python scalars.
+    inv, cols, rows, basis = _normalized_floor_lp(list(shift - matrix), exact, basis)
     value = shift - inv
-    return (value if exact else scale * value), cols, rows
+    return (value if exact else scale * value), cols, rows, basis
 
 
 def _clean_weights(masks: Sequence[int], weights: Sequence, exact: bool) -> dict[int, LinkValue]:
@@ -538,6 +557,15 @@ def hd_capacity(
     reached), so the reported schedule is the reduced game's maximizer and
     ``tight_cuts`` lists the finite-FD cuts that pin its value.
 
+    Each round solves a restricted game whose LP starts from the previous
+    round's optimal basis.  Float mode stops with a certified interval: the
+    returned schedule's rate (the floor) and the best state value against
+    the final cut mixture (the ceiling).  When the two are further apart
+    than :func:`_escalate_gap`, or the float rounds raise
+    :class:`SolverFailure` otherwise (wide magnitude spreads can do both),
+    the game is solved again in exact arithmetic on the float links, and
+    that result is returned in float.
+
     Rational mode first solves the game in float on the float values of the
     links, then runs the exact rounds from that solve's final support (its
     states of positive weight and cuts of positive price).  The exact rounds
@@ -555,12 +583,23 @@ def hd_capacity(
     if n > g:
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
     if not exact:
-        return _solve(net, False)[0]
+        try:
+            return _solve(net, False)[0]
+        except SolverFailure:
+            return _as_float(_solve(net, True)[0])
     try:
         _, states, cuts = _solve(net, False)
     except (OverflowError, SolverFailure):
         states, cuts = (), ()
     return _solve(net, True, states, cuts)[0]
+
+
+def _as_float(res: CapacityResult) -> CapacityResult:
+    """An exact result restated in float."""
+    probs = {s: float(p) for s, p in res.optimal_schedule.probs.items()}
+    return CapacityResult(
+        float(res.value), Schedule(res.optimal_schedule.n, probs), res.tight_cuts, "float"
+    )
 
 
 def _solve(
@@ -576,6 +615,13 @@ def _solve(
     loop stops on the same certificate whatever the seeds.  Returns the
     result with the final support of both mixtures: the states of positive
     weight and the cuts of positive price (both empty when no LP ran).
+
+    The loop ends with a certified interval: the schedule's rate over the
+    kept cuts (the floor, returned as the value) and the largest value any
+    state earns against the final cut mixture (the ceiling).  In exact
+    arithmetic they meet.  In float, a gap wider than :func:`_escalate_gap`
+    means the restricted LPs stopped at a wrong vertex, and it raises
+    :class:`SolverFailure`.
     """
     n = net.n
     size = 1 << n
@@ -608,6 +654,11 @@ def _solve(
         state_pool.update(gen_two_phase_schedule(n).support)
     state_pool = sorted(state_pool)
 
+    # Each round's LP starts from the previous round's optimal basis, kept
+    # as keys that survive the pools' growth: (0, state) for a state column,
+    # (1, cut) for the slack of a cut row.  A new state column starts
+    # nonbasic; a new cut row starts with its slack basic.
+    basic: list[tuple[int, int]] | None = None
     probs: dict[int, LinkValue] = {}
     value: LinkValue = 0
     rounds = 0
@@ -616,7 +667,13 @@ def _solve(
         if rounds > 4 * size + 8:
             raise SolverFailure("strategy generation failed to converge")
         matrix = _payoff(maxl, maxr, cut_pool, state_pool)
-        _, lam, mu = _game_primal(matrix, exact)
+        columns = [(0, s) for s in state_pool] + [(1, a) for a in cut_pool]
+        warm = None
+        if basic is not None:
+            where = {key: j for j, key in enumerate(columns)}
+            warm = [where[key] for key in basic]
+        _, lam, mu, lp_basis = _game_primal(matrix, exact, warm)
+        basic = [columns[j] for j in lp_basis]
         probs = _clean_weights(state_pool, lam, exact)
         cut_probs = _clean_weights(cut_pool, mu, exact)
 
@@ -637,6 +694,7 @@ def _solve(
         grew = False
         if best_cut not in cut_pool and value < state_val - eps:
             cut_pool = sorted(cut_pool + [best_cut])
+            basic.append((1, best_cut))
             grew = True
         if best_state not in state_pool and state_val > value + eps:
             state_pool = sorted(state_pool + [best_state])
@@ -644,6 +702,10 @@ def _solve(
         if not grew:
             break
 
+    if not exact and state_val - value > _escalate_gap(value):
+        raise SolverFailure(
+            f"float floor {float(value)!r} and ceiling {float(state_val)!r} do not meet"
+        )
     tol = 0 if exact else 1e-9 * max(1.0, abs(value))
     tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= value + tol))
 
@@ -677,7 +739,13 @@ def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
 
 def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
     """First restricted game over at most n+1 states whose schedule's rate
-    over the finite-FD cuts is within 1e-8 of ``target``, the capacity."""
+    over the finite-FD cuts is within 1e-8 of ``target``, the capacity.
+
+    Only the states that are best responses to an optimal cut mixture of
+    the full game are tried: by complementary slackness no optimal schedule
+    puts weight on any other state.  The full game is at most 16 x 16 under
+    the guard, so it is solved once, directly.
+    """
     n = net.n
     if n > _SEARCH_GUARD:
         raise GuardExceeded(
@@ -686,10 +754,13 @@ def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
     tol = 1e-8
     maxl, maxr = _tables(net, False)
     kept = np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)
+    _, _, mu, _ = _game_primal(_payoff(maxl, maxr, kept, np.arange(1 << n)), False)
+    state_vals = _cut_values(n, maxr, maxl, zip(kept, mu))
+    best = [int(s) for s in np.flatnonzero(state_vals >= state_vals.max() - tol)]
     for k in range(1, n + 2):
-        for states in combinations(range(1 << n), k):
+        for states in combinations(best, k):
             try:
-                value, lam, _ = _game_primal(_payoff(maxl, maxr, kept, states), False)
+                value, lam, _, _ = _game_primal(_payoff(maxl, maxr, kept, states), False)
             except SolverFailure:
                 continue
             probs = _clean_weights(states, lam, False)

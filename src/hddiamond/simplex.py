@@ -9,7 +9,17 @@ or an object array of ``fractions.Fraction`` when exact.  The programs have
 at most a few thousand rows/columns, so a dense tableau is the simple and
 fast-enough choice.  An optimal result also reports the dual solution, read
 off the final objective row, so one solve yields both players' mixtures of
-a matrix game.
+a matrix game, and its optimal basis.
+
+Warm starts: given a basis, typically the optimal basis of the same LP
+before rows or columns were added, the solve rebuilds the tableau on it
+from the original system and continues from there (the restricted master
+of column generation; Desrosiers & Lübbecke, "A primer in column
+generation", 2005).  An added column leaves the basis primal feasible and
+is priced in by primal pivots; an added row whose slack starts basic but
+negative is repaired first by dual simplex pivots.  A basis that is
+singular, or that the repair cannot make feasible, falls back to the
+all-slack start, so a warm start is a shortcut and never a second solver.
 
 Pivoting: Dantzig's most-negative-reduced-cost entering rule with a
 deterministic lowest-index tie-break, and the lexicographic minimum-ratio
@@ -33,15 +43,19 @@ __all__ = ["LPResult", "solve_lp"]
 
 @dataclass(frozen=True)
 class LPResult:
-    """An optimal result carries ``x``, its ``objective`` and ``duals``: the
+    """An optimal result carries ``x``, its ``objective``, ``duals``: the
     optimal row prices ``w >= 0`` of the ``A_ub`` rows, with
-    ``c + A_ub^T w >= 0`` and ``b_ub . w == -objective``.  An unbounded
-    result carries None in all three."""
+    ``c + A_ub^T w >= 0`` and ``b_ub . w == -objective``, and ``basis``: the
+    optimal basic columns, one per row, where column ``j < len(c)`` is
+    ``x_j`` and column ``len(c) + i`` is the slack of row ``i``.  Passed back
+    to :func:`solve_lp` as ``basis``, it warm-starts a related LP.  An
+    unbounded result carries None in all four."""
 
     status: str  # "optimal" | "unbounded"
     objective: float | Fraction | None
     x: tuple | None
     duals: tuple | None = None
+    basis: tuple[int, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -101,21 +115,54 @@ def _refactor(
     basis: list[int],
     orig: np.ndarray,
     cost: np.ndarray,
-) -> None:
+) -> bool:
     """Rebuild the float tableau as B^-1 [A | b] from the *original* system
     and the current basis, wiping out accumulated pivot roundoff, then
     re-price the objective row from the cost row ``cost``.  The
-    mathematical tableau is unchanged."""
+    mathematical tableau is unchanged.  Returns False, leaving the tableau
+    as it was, when the basis is singular to working precision."""
     base = orig[:, basis]
     try:
         fresh = np.linalg.solve(base, orig)
     except np.linalg.LinAlgError:
-        return  # singular to working precision: keep the pivoted tableau
+        return False
+    if not np.isfinite(fresh).all():
+        return False
     t[:] = fresh
     obj[:] = cost
     for i, b in enumerate(basis):
         if obj[b] != 0:
             obj -= obj[b] * t[i]
+    return True
+
+
+def _install(
+    t: np.ndarray,
+    obj: np.ndarray,
+    basis: list[int],
+    want: Sequence[int],
+    orig: np.ndarray,
+    cost: np.ndarray,
+) -> bool:
+    """Turn the all-slack tableau into ``B^-1 [A | I | b]`` for the basic
+    columns ``want``, with the objective row priced out.  Float solves the
+    system in one step (:func:`_refactor`); exact arithmetic pivots each
+    wanted column into a row whose slack is not wanted.  Returns False when
+    ``want`` is singular, and the tableau must then be reset."""
+    if len(set(want)) != len(basis):
+        return False
+    if t.dtype != object:
+        basis[:] = want
+        return _refactor(t, obj, basis, orig, cost)
+    wanted = set(want)
+    for col in want:
+        if col in basis:
+            continue
+        rows = [i for i, b in enumerate(basis) if b not in wanted and t[i, col] != 0]
+        if not rows:
+            return False
+        _pivot(t, obj, basis, rows[0], col)
+    return True
 
 
 _REFACTOR_EVERY = 64
@@ -127,34 +174,33 @@ def _dual_repair(
     basis: list[int],
     budget: list[int],
 ) -> bool:
-    """Drive negative basic values out of a dual-feasible float basis.
+    """Drive negative basic values out of a basis by dual simplex pivots.
 
-    Dual simplex: the leaving row is the most negative rhs entry, the
-    entering column the dual ratio test over that row's negative entries.
-    Used as the backstop when the refactorized tableau shows the current
-    basis is primal-infeasible beyond tolerance (a mis-stepped degenerate
-    pivot can cause that); reduced costs are already ~nonnegative here, so
-    each pivot keeps dual feasibility while restoring primal feasibility.
-    Returns False if some infeasible row has no negative entry to pivot on.
+    The leaving row is the most negative rhs entry, the entering column the
+    dual ratio test over that row's negative entries, taken only among the
+    columns whose reduced cost is already nonnegative to tolerance: each
+    pivot then keeps those columns priced out while it restores primal
+    feasibility, and a column still priced negative (a new state column of
+    a warm start) is left for the primal pivots that follow.  Used for the
+    rows a warm start adds, and as the backstop when the refactorized float
+    tableau shows the basis drifted infeasible (a mis-stepped degenerate
+    pivot can cause that).  Returns False if some infeasible row has no
+    eligible column to pivot on.
     """
-    _, eps_piv, eps_feas, tie = _TOL[False]
+    eps_rc, eps_piv, eps_feas, tie = _TOL[t.dtype == object]
     ncols = t.shape[1] - 1
     while True:
         row = int(np.argmin(t[:, -1]))
         if t[row, -1] >= -eps_feas:
             return True
-        col = -1
-        best = None
-        for j in range(ncols):
-            a = t[row, j]
-            if a < -eps_piv:
-                ratio = obj[j] / -a
-                if best is None or ratio < best - tie or (
-                    ratio <= best + tie and a < t[row, col]
-                ):
-                    best, col = ratio, j
-        if col < 0:
+        a = t[row, :ncols]
+        cand = np.flatnonzero((a < -eps_piv) & (obj[:ncols] >= -eps_rc))
+        if cand.size == 0:
             return False
+        ratios = obj[cand] / -a[cand]
+        # Among the ratios tied with the least, the largest pivot magnitude.
+        near = cand[ratios <= ratios.min() + tie]
+        col = int(near[np.argmin(a[near])])
         _pivot(t, obj, basis, row, col)
         budget[0] -= 1
         if budget[0] <= 0:
@@ -255,15 +301,26 @@ def solve_lp(
     *,
     exact: bool = False,
     max_pivots: int = 500_000,
+    basis: Sequence[int] | None = None,
 ) -> LPResult:
     """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``x >= 0``, for ``b_ub >= 0``.
 
     The solve starts from the all-slack basis, which ``b_ub >= 0`` makes
     feasible, so a ``b_ub`` entry below 0 raises ``ValueError``.  An optimal
-    result carries the primal solution ``x`` and the dual solution
-    ``duals``: the slack columns' reduced costs in the final objective row,
-    one price per ``A_ub`` row.  With ``exact`` every number is a
-    ``Fraction``; otherwise a float.
+    result carries the primal solution ``x``, the dual solution ``duals``
+    (the slack columns' reduced costs in the final objective row, one price
+    per ``A_ub`` row) and the optimal ``basis``.  With ``exact`` every
+    number is a ``Fraction``; otherwise a float.  ``A_ub`` may be a list of
+    rows or of 1-d numpy arrays.
+
+    ``basis`` warm-starts the solve: ``len(b_ub)`` distinct column indices
+    in the layout of :attr:`LPResult.basis`, typically an optimal basis of
+    the same LP before a row or a column was added, with the added rows'
+    slacks.  The tableau is rebuilt from the original system on those
+    columns; a primal-infeasible start is repaired by dual simplex pivots
+    over the columns already priced out, and primal pivots finish.  A
+    singular basis, or one the repair cannot make feasible, falls back to
+    the all-slack start.
     """
     if len(a_ub) != len(b_ub):
         raise ValueError("constraint matrix/rhs length mismatch")
@@ -275,31 +332,44 @@ def solve_lp(
     rhs = _values(b_ub, exact)
     if (rhs < 0).any():
         raise ValueError("b_ub must be nonnegative")
+    ncols = nv + m
+    if basis is not None and (
+        len(basis) != m or not all(0 <= b < ncols for b in basis)
+    ):
+        raise ValueError(f"basis must be {m} column indices below {ncols}")
 
     # Column layout: structural | slacks (one per row) | rhs.
-    ncols = nv + m
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     dtype = object if exact else float
-    t = np.full((m, ncols + 1), zero, dtype=dtype)
-    t[:, :nv] = _values([v for row in a_ub for v in row], exact).reshape(m, nv)
-    t[:, -1] = rhs
-    t[np.arange(m), nv + np.arange(m)] = one
-    basis = [nv + i for i in range(m)]
-
+    orig = np.full((m, ncols + 1), zero, dtype=dtype)
+    if exact:
+        orig[:, :nv] = _values([v for row in a_ub for v in row], exact).reshape(m, nv)
+    else:
+        orig[:, :nv] = np.asarray(a_ub, dtype=float).reshape(m, nv)
+    orig[:, -1] = rhs
+    orig[np.arange(m), nv + np.arange(m)] = one
     # The slacks cost nothing, so the cost row is already the objective row
     # priced out against the all-slack basis.
     cost = np.full(ncols + 1, zero, dtype=dtype)
     cost[:nv] = _values(c, exact)
-    obj = cost.copy()
-    # Pristine copy of the initial system for float refactorization.
-    orig = None if exact else t.copy()
-    status = _iterate(t, obj, basis, [max_pivots], cost, orig)
+    budget = [max_pivots]
+
+    status = None
+    if basis is not None:
+        t, obj, rows = orig.copy(), cost.copy(), list(range(nv, ncols))
+        if _install(t, obj, rows, [int(b) for b in basis], orig, cost) and _dual_repair(
+            t, obj, rows, budget
+        ):
+            status = _iterate(t, obj, rows, budget, cost, orig)
+    if status is None:
+        t, obj, rows = orig.copy(), cost.copy(), list(range(nv, ncols))
+        status = _iterate(t, obj, rows, budget, cost, orig)
     if status != "optimal":
         return LPResult(status, None, None)
 
     x = [zero] * nv
-    for i, b in enumerate(basis):
+    for i, b in enumerate(rows):
         if b < nv:
             x[b] = t[i, -1]
     objective = sum((xi * ci for xi, ci in zip(x, cost[:nv].tolist())), zero)
-    return LPResult("optimal", objective, tuple(x), tuple(obj[nv:ncols]))
+    return LPResult("optimal", objective, tuple(x), tuple(obj[nv:ncols]), tuple(rows))

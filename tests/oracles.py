@@ -53,7 +53,7 @@ def _game_dual(matrix: np.ndarray, exact: bool):
     if not exact:
         matrix, scale = _unit_scaled(matrix)
     shift = one - matrix.min()
-    inv, weights, _ = _normalized_floor_lp((matrix + shift).T.tolist(), exact)
+    inv, weights, _, _ = _normalized_floor_lp((matrix + shift).T.tolist(), exact)
     value = inv - shift
     return (value if exact else scale * value), weights
 

@@ -440,6 +440,14 @@ class TestDualConsistency:
             )
             assert dual_capacity(net, "rational").value == hd_capacity(net, "rational").value
 
+    def test_float_matches_dense_oracle(self):
+        for n in range(2, 9):
+            for seed in range(10):
+                net = gen_random(n, seed=seed)
+                assert hd_capacity(net).value == pytest.approx(
+                    dual_capacity(net).value, rel=1e-9, abs=1e-9
+                ), (n, seed)
+
     def test_cut_mixture_is_distribution(self):
         dual = dual_capacity(gen_random(4, seed=5))
         total = sum(dual.cut_probs.values())
@@ -466,7 +474,7 @@ class TestOneLPPerRound:
                  for _ in range(rows)],
                 dtype=object,
             )
-            value, q, p = _game_primal(g, True)
+            value, q, p, _ = _game_primal(g, True)
             assert sum(q) == 1 and sum(p) == 1
             assert min(q) >= 0 and min(p) >= 0
             floor = min(sum(g[i, j] * q[j] for j in range(cols)) for i in range(rows))
@@ -537,6 +545,9 @@ class TestFormerPivotStall:
             b_eq=[1.0],
             bounds=[(0, None)] * k + [(None, None)],
             method="highs",
+            # At its default 1e-7 tolerances HiGHS stops about 1.2e-8
+            # relative below the exact optimum 3.550984868880925.
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
         )
         assert ref.status == 0
         assert ref.fun == pytest.approx(res.value, rel=1e-9)
@@ -565,10 +576,10 @@ def seeded_vs_unseeded():
     exact_lps = []
     real = capacity._game_primal
 
-    def counting(matrix, exact):
+    def counting(matrix, exact, *basis):
         if matrix.dtype == object:
             exact_lps.append(matrix.shape)
-        return real(matrix, exact)
+        return real(matrix, exact, *basis)
 
     rows = []
     with pytest.MonkeyPatch.context() as mp:
@@ -620,6 +631,18 @@ class TestFloatThenExact:
             assert res.value == seeded.value
             assert res == unseeded
 
+    def test_values_match_cold_solves(self, monkeypatch, seeded_vs_unseeded):
+        # Every restricted LP from the all-slack basis, as before the rounds
+        # were warm-started: the exact values cannot move.
+        real = capacity.solve_lp
+
+        def cold(*args, basis=None, **kwargs):
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "solve_lp", cold)
+        for net, seeded, _, _, _ in seeded_vs_unseeded:
+            assert hd_capacity(net, "rational").value == seeded.value, net
+
     def test_float_pass_fails_on_wide_spread(self):
         net = DiamondNetwork((1e7, 0.1, 0), (1e-6, 0.1, 1e4))
         with pytest.raises(SolverFailure):
@@ -669,27 +692,20 @@ class TestFloatThenExact:
 
 
 class TestFloatWideSpreadDefects:
-    """Known float defects on wide magnitude spreads.  Strict xfails: each
-    flips to a failure once float mode is tight on its input (for instance
-    by escalating to exact arithmetic), and must then become a plain test."""
+    """Former float defects on wide magnitude spreads.  Float mode now
+    escalates to exact arithmetic when its floor and ceiling do not meet, or
+    when its simplex fails, so both inputs are tight."""
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="float stops at 999.00100 against the exact 999.01100: the optimum "
-        "puts weights near 1e-9 and 1e-13 on two states, below the float tolerances",
-    )
     def test_tiny_optimal_weights(self):
+        # The optimum puts weights near 1e-9 and 1e-13 on two states, below
+        # the float tolerances: the float rounds stop 1e-5 short of it.
         net = DiamondNetwork((1e3, 1e7, 1e-6, 1e-7), (1e6, 0.01, 0, 1e6))
         exact = hd_capacity(net, "rational").value
         assert hd_capacity(net).value == pytest.approx(float(exact), rel=1e-9)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SolverFailure,
-        reason="float raises SolverFailure: reduced costs will not settle",
-    )
     def test_reduced_costs_settle(self):
+        # The float rounds raise SolverFailure here (see
+        # TestFloatThenExact::test_float_pass_fails_on_wide_spread).
         net = DiamondNetwork((1e7, 0.1, 0), (1e-6, 0.1, 1e4))
         exact = hd_capacity(net, "rational").value
         assert exact == pytest.approx(0.0500007499987, rel=1e-9)

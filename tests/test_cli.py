@@ -97,18 +97,27 @@ class TestCapacity:
         assert code == 2
         assert "error:" in err
 
-    def test_solver_failure_exits_5(self, capsys, tmp_path):
-        # A magnitude spread of 1e13 that the float simplex cannot settle;
-        # rational arithmetic solves the same input.
+    def test_solver_failure_exits_5(self, capsys, tmp_path, monkeypatch):
+        # A magnitude spread of 1e13 that the float simplex cannot settle:
+        # float mode escalates to exact arithmetic and solves it.  Exit 5
+        # needs a solver that fails in both arithmetics.
+        from hddiamond import SolverFailure, capacity
+
         path = tmp_path / "wide.json"
         path.write_text('{"l": [1e7, 0.1, 0], "r": [1e-6, 0.1, 1e4]}')
+        for flag in ((), ("--exact",)):
+            code, out, _ = run(capsys, "capacity", "--network", str(path), *flag)
+            assert code == 0
+            assert F(json.loads(out)["value"]) == pytest.approx(0.0500007499987, rel=1e-9)
+
+        def fail(*args, **kwargs):
+            raise SolverFailure("patched to fail")
+
+        monkeypatch.setattr(capacity, "_solve", fail)
         code, out, err = run(capsys, "capacity", "--network", str(path))
         assert code == 5
         assert out == ""
         assert err.startswith("solver: ")
-        code, out, _ = run(capsys, "capacity", "--network", str(path), "--exact")
-        assert code == 0
-        assert F(json.loads(out)["value"]) == pytest.approx(0.0500007499987, rel=1e-9)
 
     def test_wide_spread_float_matches_exact(self, capsys, tmp_path):
         # A spread of 1e14 that float mode once failed on.

@@ -244,3 +244,117 @@ class TestPivot:
                     assert (t == ref).all(), trial
                 else:
                     assert t.tobytes() == ref.tobytes(), trial
+
+
+def _scipy_draws(exact):
+    """The bounded-or-not draws of TestAgainstScipy with ``b >= 0``, as
+    (c, A, b) lists; Fractions of the same floats when ``exact``."""
+    import numpy as np
+
+    rng = np.random.default_rng(2024)
+    conv = F if exact else float
+    draws = []
+    for _ in range(60):
+        nv = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 6))
+        c = rng.uniform(-2, 2, nv)
+        a = rng.uniform(-2, 2, (m, nv))
+        b = rng.uniform(-1, 3, m)
+        if (b >= 0).all():
+            draws.append(([conv(v) for v in c], [[conv(v) for v in r] for r in a], [conv(v) for v in b]))
+    return draws
+
+
+class TestWarmStart:
+    """``solve_lp(..., basis=...)`` starts from a given basis: an optimal
+    basis of the LP before a row and/or a column was added."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from hddiamond import simplex
+
+        seen = {"pivots": 0, "repairs": 0}
+        pivot, repair = simplex._pivot, simplex._dual_repair
+
+        def counting_pivot(*args):
+            seen["pivots"] += 1
+            return pivot(*args)
+
+        def counting_repair(*args):
+            seen["repairs"] += 1
+            return repair(*args)
+
+        monkeypatch.setattr(simplex, "_pivot", counting_pivot)
+        monkeypatch.setattr(simplex, "_dual_repair", counting_repair)
+        return seen
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_optimal_basis_takes_no_pivots(self, exact, counts):
+        solved = 0
+        for c, a, b in _scipy_draws(exact):
+            cold = solve_lp(c, a, b, exact=exact)
+            if not cold.ok:
+                continue
+            # Exact arithmetic installs the basis by pivoting each of its
+            # structural columns into the all-slack tableau; float solves for
+            # it.  No simplex pivot follows either way.
+            installs = sum(j < len(c) for j in cold.basis) if exact else 0
+            before = counts["pivots"]
+            warm = solve_lp(c, a, b, exact=exact, basis=cold.basis)
+            assert counts["pivots"] - before == installs
+            assert warm == cold
+            solved += 1
+        assert solved == 15
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_grown_lp_matches_cold_and_highs(self, exact, counts):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        checked = 0
+        for c, a, b in _scipy_draws(exact):
+            nv, m = len(c), len(a)
+            # Drop the last column, the last row, or both, solve the smaller
+            # LP, and warm-start the full one from its optimal basis.
+            for drop_col, drop_row in ((1, 0), (0, 1), (1, 1)):
+                if nv - drop_col < 1 or m - drop_row < 1:
+                    continue
+                sv, sm = nv - drop_col, m - drop_row
+                small = solve_lp(c[:sv], [r[:sv] for r in a[:sm]], b[:sm], exact=exact)
+                if not small.ok:
+                    continue
+                basis = [j if j < sv else nv + j - sv for j in small.basis]
+                basis += [nv + i for i in range(sm, m)]
+                warm = solve_lp(c, a, b, exact=exact, basis=basis)
+                cold = solve_lp(c, a, b, exact=exact)
+                assert warm.status == cold.status
+                ref = scipy_opt.linprog(
+                    [float(v) for v in c], A_ub=[[float(v) for v in r] for r in a],
+                    b_ub=[float(v) for v in b], bounds=(0, None), method="highs",
+                )
+                if not cold.ok:
+                    assert ref.status in (2, 3, 4)
+                    continue
+                assert ref.status == 0
+                if exact:
+                    assert warm.objective == cold.objective
+                else:
+                    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert float(warm.objective) == pytest.approx(ref.fun, abs=1e-7)
+                _assert_certified_duals(warm, c, a, b, 0 if exact else 1e-9)
+                checked += 1
+        assert checked >= 20
+        assert counts["repairs"] > 0  # some added rows cut the old optimum off
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_singular_basis_falls_back_to_cold(self, exact):
+        one = F(1) if exact else 1.0
+        # Columns 0 and 1 are equal, so {0, 1} is no basis.
+        c, a, b = [-one, -one, -2 * one], [[one, one, one], [2 * one, 2 * one, one]], [one, one]
+        cold = solve_lp(c, a, b, exact=exact)
+        assert cold.ok
+        for basis in ((0, 1), (2, 2)):
+            assert solve_lp(c, a, b, exact=exact, basis=basis) == cold
+
+    def test_malformed_basis_raises(self):
+        for basis in ((0,), (0, 1, 2), (0, 5)):
+            with pytest.raises(ValueError):
+                solve_lp([-1, -1], [[1, 1], [1, 0]], [4, 2], basis=basis)
