@@ -149,12 +149,12 @@ def _install(
     system in one step (:func:`_refactor`); exact arithmetic pivots each
     wanted column into a row whose slack is not wanted.  Returns False when
     ``want`` is singular, and the tableau must then be reset."""
-    if len(set(want)) != len(basis):
+    wanted = set(want)
+    if len(wanted) != len(basis):
         return False
     if t.dtype != object:
         basis[:] = want
         return _refactor(t, obj, basis, orig, cost)
-    wanted = set(want)
     for col in want:
         if col in basis:
             continue
