@@ -29,6 +29,7 @@ from .capacity import (
     hd_capacity,
     single_relay_capacity,
     sparsify_schedule,
+    subnetwork_seeds,
 )
 from .errors import BoundViolation, GuardExceeded, NetworkFormatError, SolverFailure
 from .network import (
@@ -54,6 +55,7 @@ from .network import (
     relays_from_mask,
     render_mask,
     render_network,
+    restrict_mask,
     save_network,
     schedule_from_dict,
     schedule_to_dict,
@@ -140,6 +142,7 @@ __all__ = [
     "relays_from_mask",
     "render_mask",
     "render_network",
+    "restrict_mask",
     "run_suite",
     "save_network",
     "schedule_from_dict",
@@ -151,6 +154,7 @@ __all__ = [
     "single_relay_capacity",
     "solve_lp",
     "sparsify_schedule",
+    "subnetwork_seeds",
     "threshold_sets",
     "value_from_json",
     "value_to_json",

@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GuardExceeded, SolverFailure
+from .errors import GuardExceeded, NetworkFormatError, SolverFailure
 from .flow import FlowGraph, max_flow
 from .network import (
     UNBOUNDED,
@@ -56,6 +56,7 @@ from .network import (
     gen_two_phase_schedule,
     invert_mask,
     is_unbounded,
+    restrict_mask,
 )
 from .simplex import solve_lp
 
@@ -71,6 +72,7 @@ __all__ = [
     "hd_capacity",
     "single_relay_capacity",
     "sparsify_schedule",
+    "subnetwork_seeds",
 ]
 
 #: Largest relay count hd_capacity accepts unless overridden.
@@ -545,6 +547,7 @@ def hd_capacity(
     arithmetic: str = "float",
     *,
     guard: int | None = None,
+    seeds: tuple[Iterable[int], Iterable[int]] = ((), ()),
 ) -> CapacityResult:
     """Half-duplex approximate capacity, optimal schedule, and tight cuts.
 
@@ -574,6 +577,14 @@ def hd_capacity(
     run (a link too large for a float) or fails, the exact rounds start from
     the default pools alone.
 
+    ``seeds`` is a pair ``(states, cuts)`` of masks in ``net``'s own relay
+    indexing that the float rounds add to their starting pools, typically a
+    parent network's solve restricted to ``net`` (see
+    :func:`subnetwork_seeds`).  Seeds only add pool entries, so the loop
+    stops on the same certificate whatever they are, and rational values do
+    not depend on them.  The exact rounds of a float escalation start
+    unseeded.  A mask outside ``[0, 2**n)`` raises ``ValueError``.
+
     ``guard`` caps the relay count (default 16, or the HDDIAMOND_LP_GUARD
     environment variable); past it, raise instead of grinding.
     """
@@ -582,16 +593,44 @@ def hd_capacity(
     g = _effective_guard(guard)
     if n > g:
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
+    states, cuts = (_checked_masks(masks, n) for masks in seeds)
     if not exact:
         try:
-            return _solve(net, False)[0]
+            return _solve(net, False, states, cuts)[0]
         except SolverFailure:
             return _as_float(_solve(net, True)[0])
     try:
-        _, states, cuts = _solve(net, False)
+        _, states, cuts = _solve(net, False, states, cuts)
     except (OverflowError, SolverFailure):
         states, cuts = (), ()
     return _solve(net, True, states, cuts)[0]
+
+
+def _checked_masks(masks: Iterable[int], n: int) -> tuple[int, ...]:
+    out = tuple(int(m) for m in masks)
+    bad = [m for m in out if not 0 <= m < 1 << n]
+    if bad:
+        raise ValueError(f"seed masks {bad} out of range for n={n}")
+    return out
+
+
+def subnetwork_seeds(
+    full: CapacityResult, keep: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``hd_capacity`` seeds for the subnetwork of the relays in mask
+    ``keep``, from the full network's result: its support states and its
+    tight cuts (which include every cut of positive price, by complementary
+    slackness), restricted to the kept relays.  Both are empty when the
+    full value is unbounded, whose schedule spans every state.
+
+    This is the paper's proof idea put to work: the full optimal schedule,
+    marginalized onto a good subnetwork, keeps most of its value, so these
+    pools start the subnetwork's double oracle near its optimum.
+    """
+    if is_unbounded(full.value):
+        return (), ()
+    restrict = lambda masks: tuple(sorted({restrict_mask(m, keep) for m in masks}))
+    return restrict(full.optimal_schedule.support), restrict(full.tight_cuts)
 
 
 def _as_float(res: CapacityResult) -> CapacityResult:
@@ -708,10 +747,16 @@ def _solve(
         )
     tol = 0 if exact else 1e-9 * max(1.0, abs(value))
     tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= value + tol))
+    try:
+        schedule = Schedule(n, probs)
+    except NetworkFormatError as exc:
+        # A float LP can end on weights a hair below zero; the positive ones
+        # left then sum to more than 1.
+        raise SolverFailure(f"float LP returned no valid schedule: {exc}") from None
 
     result = CapacityResult(
         value=value if exact else float(value),
-        optimal_schedule=Schedule(n, probs),
+        optimal_schedule=schedule,
         tight_cuts=tight,
         arithmetic=arith,
     )

@@ -47,6 +47,7 @@ __all__ = [
     "mask_from_relays",
     "relays_from_mask",
     "invert_mask",
+    "restrict_mask",
     "is_unbounded",
     "derive_natural_schedule",
     "links_from_gains",
@@ -97,6 +98,21 @@ def full_mask(n: int) -> int:
 def invert_mask(mask: int, n: int) -> int:
     """Complement of ``mask`` within an n-relay network."""
     return full_mask(n) ^ mask
+
+
+def restrict_mask(mask: int, keep: int) -> int:
+    """The bits of ``mask`` at the set positions of ``keep``, packed into
+    consecutive low bits: what a full-network state or cut is on the
+    subnetwork of the relays in ``keep``."""
+    out = 0
+    j = 0
+    while keep:
+        low = keep & -keep
+        if mask & low:
+            out |= 1 << j
+        keep ^= low
+        j += 1
+    return out
 
 
 def parse_mask(text: str, n: int | None = None) -> int:
@@ -348,15 +364,11 @@ def derive_natural_schedule(
     mask = _as_mask(keep, n)
     if mask == 0:
         raise NetworkFormatError("cannot marginalize onto an empty relay set")
-    bits = [k for k in range(n) if mask >> k & 1]
     out: dict[int, LinkValue] = {}
     for state, p in sched.items():
-        sub = 0
-        for j, k in enumerate(bits):
-            if state >> k & 1:
-                sub |= 1 << j
+        sub = restrict_mask(state, mask)
         out[sub] = out.get(sub, 0) + p
-    return Schedule(len(bits), out)
+    return Schedule(mask.bit_count(), out)
 
 
 # ---------------------------------------------------------------------------

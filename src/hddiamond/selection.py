@@ -35,19 +35,24 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .capacity import (
+    CapacityResult,
+    _float_tol,
     _net_is_exact,
     fd_capacity_fast,
     fixed_schedule_rate,
     hd_capacity,
     single_relay_capacity,
+    subnetwork_seeds,
 )
 from .errors import BoundViolation, GuardExceeded
 from .network import (
     DiamondNetwork,
     LinkValue,
     Schedule,
+    _is_exact,
     derive_natural_schedule,
     gen_two_phase_schedule,
+    mask_from_relays,
 )
 
 __all__ = [
@@ -176,7 +181,10 @@ def drop_worst(
         current = current.drop((pos,))
 
     full = hd_capacity(net, arithmetic)
-    sub = hd_capacity(current, arithmetic)
+    sub = full
+    if k < n:
+        keep = mask_from_relays((net.labels.index(lab) + 1 for lab in current.labels), n)
+        sub = hd_capacity(current, arithmetic, seeds=subnetwork_seeds(full, keep))
     fraction = _ratio(sub.value, full.value)
     notes: tuple[str, ...] = ()
     bound: Fraction | None = guarantee_bound("worst-drop", n, k)
@@ -280,19 +288,34 @@ def select_k_iterative(
     )
 
 
-def _certified_capacity(net: DiamondNetwork, arithmetic: str) -> LinkValue:
-    """HD capacity of ``net`` from the game LP.  Where the LP guard refuses,
-    rational mode on exact links tries the two-sided pin instead: a
-    two-phase schedule's rate from below, the FD capacity from above.  If
-    they meet, that is the capacity; otherwise the refusal stands."""
+def _certified_capacity(
+    net: DiamondNetwork, arithmetic: str
+) -> tuple[LinkValue, CapacityResult | None]:
+    """HD capacity of ``net`` from the game LP, with the LP's result.  Where
+    the LP guard refuses, rational mode on exact links tries the two-sided
+    pin instead: a two-phase schedule's rate from below, the FD capacity
+    from above.  If they meet, that is the capacity (with no LP result);
+    otherwise the refusal stands."""
     try:
-        return hd_capacity(net, arithmetic).value
+        res = hd_capacity(net, arithmetic)
+        return res.value, res
     except GuardExceeded:
         if arithmetic == "rational" and net.n >= 2 and _net_is_exact(net):
             lower = fixed_schedule_rate(net, gen_two_phase_schedule(net.n)).value
             if lower == fd_capacity_fast(net):
-                return lower
+                return lower, None
         raise
+
+
+def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
+    """Whether ``sub``'s FD value shows it cannot beat the incumbent value
+    ``best``: its HD capacity is at most its FD value, so below ``best`` it
+    can never win the strict ``>`` comparison.  Exact values compare
+    exactly; a float one keeps the float slack of a minimum."""
+    fd = fd_capacity_fast(sub)
+    if _is_exact(fd) and _is_exact(best):
+        return fd < best
+    return fd + _float_tol(fd) < best
 
 
 def select_k_exhaustive(
@@ -305,7 +328,13 @@ def select_k_exhaustive(
     """Solve every size-k subnetwork and keep the best (ties: smallest
     relay set).  Guarded: allowed when n <= guard or k <= 2 (where the
     number of subnetworks stays trivial even for larger n).  The guard is
-    checked before anything is solved."""
+    checked before anything is solved.
+
+    Each subnetwork solve is seeded from the full network's solve (see
+    :func:`subnetwork_seeds`), and a subnetwork whose FD value is below the
+    best capacity found so far is skipped unsolved, since it cannot win.
+    Neither changes the report.  At ``k == n`` the full solve is the answer.
+    """
     n = net.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
@@ -313,14 +342,20 @@ def select_k_exhaustive(
         raise GuardExceeded(
             f"select_k_exhaustive on {n} relays with k={k} exceeds guard {guard}"
         )
-    full_value = _certified_capacity(net, arithmetic)
-    best_value: LinkValue | None = None
-    best_sub: DiamondNetwork | None = None
-    for positions in combinations(range(1, n + 1), k):
-        sub = net.subnetwork(positions)
-        value = hd_capacity(sub, arithmetic).value
-        if best_value is None or value > best_value:
-            best_value, best_sub = value, sub
+    full_value, full = _certified_capacity(net, arithmetic)
+    best_value: LinkValue | None = full_value
+    best_sub = net
+    if k < n:
+        best_value = None
+        for positions in combinations(range(1, n + 1), k):
+            sub = net.subnetwork(positions)
+            if best_value is not None and _fd_rules_out(sub, best_value):
+                continue
+            keep = mask_from_relays(positions, n)
+            seeds = subnetwork_seeds(full, keep) if full else ((), ())
+            value = hd_capacity(sub, arithmetic, seeds=seeds).value
+            if best_value is None or value > best_value:
+                best_value, best_sub = value, sub
     return SelectionReport(
         strategy="exhaustive",
         selected=best_sub.labels,
@@ -344,6 +379,8 @@ def select_k(
     arithmetic: str = "float",
 ) -> SelectionReport:
     """Dispatch to a strategy by name (the CLI entry point)."""
+    if schedule is not None and strategy in ("worst-drop", "exhaustive"):
+        raise ValueError("schedule only applies to the schedule-reuse and iterative strategies")
     if strategy == "worst-drop":
         return drop_worst(net, k, force_remove=force_remove, arithmetic=arithmetic)
     if force_remove:

@@ -41,6 +41,7 @@ from .capacity import (
     hd_capacity,
     single_relay_capacity,
     sparsify_schedule,
+    subnetwork_seeds,
 )
 from .network import (
     DiamondNetwork,
@@ -150,10 +151,11 @@ def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
                 break
         split = _proper_subset(rng, n)
         comp = invert_mask(split, n)
-        c_full = hd_capacity(net).value
-        c_parts = (
-            hd_capacity(net.subnetwork(split)).value
-            + hd_capacity(net.subnetwork(comp)).value
+        full = hd_capacity(net)
+        c_full = full.value
+        c_parts = sum(
+            hd_capacity(net.subnetwork(part), seeds=subnetwork_seeds(full, part)).value
+            for part in (split, comp)
         )
         if c_full > c_parts + _TOL:
             ok = False
@@ -425,11 +427,13 @@ def _suite_edge_delta(trials: int, seed: int, n_max: int) -> SuiteReport:
     for t in range(trials):
         n = int(rng.integers(2, n_max + 1))
         net = _random_net(rng, n)
-        cap = hd_capacity(net).value
+        full = hd_capacity(net)
+        cap = full.value
         ok = True
         detail = "all drops within delta"
         for i in range(1, n + 1):
-            sub_cap = hd_capacity(net.drop((i,))).value
+            keep = invert_mask(1 << (i - 1), n)
+            sub_cap = hd_capacity(net.subnetwork(keep), seeds=subnetwork_seeds(full, keep)).value
             delta = min(net.uplinks[i - 1], net.downlinks[i - 1])
             if sub_cap < cap - delta - _TOL:
                 ok = False

@@ -1,21 +1,33 @@
-"""Dense test oracle for the half-duplex value: the adversary's side of the
-scheduling game, solved as one LP over the full payoff matrix.
+"""Test oracles: plain, slow routes to numbers the library computes faster.
 
-An independent route to the number :func:`hddiamond.hd_capacity` computes by
-strategy generation: it solves the transposed game (the cut player's LP)
-rather than reading the cut mixture off the schedule LP's prices, and
-certifies its value from that mixture by a scan over every state.
+* :func:`dual_capacity` is the adversary's side of the scheduling game,
+  solved as one LP over the full payoff matrix.  It is an independent route
+  to the number :func:`hddiamond.hd_capacity` computes by strategy
+  generation: it solves the transposed game (the cut player's LP) rather
+  than reading the cut mixture off the schedule LP's prices, and certifies
+  its value from that mixture by a scan over every state.
+* :func:`cold_exhaustive` is exhaustive selection as a plain loop: every
+  size-k subnetwork solved from scratch, none skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
 
-from hddiamond import UNBOUNDED, DiamondNetwork, GuardExceeded, LinkValue
+from hddiamond import (
+    UNBOUNDED,
+    DiamondNetwork,
+    GuardExceeded,
+    LinkValue,
+    SelectionReport,
+    guarantee_bound,
+    hd_capacity,
+)
 from hddiamond.capacity import (
     _check_arithmetic,
     _clean_weights,
@@ -25,6 +37,7 @@ from hddiamond.capacity import (
     _tables,
     _unit_scaled,
 )
+from hddiamond.selection import _ratio
 
 _DUAL_GUARD = 10  # dual_capacity materializes a dense (cuts x states) matrix
 
@@ -92,3 +105,27 @@ def dual_capacity(
     # certificate's code path rather than trusting the LP's own objective.
     value = _cut_values(n, maxr, maxl, sorted(cut_probs.items())).max()
     return DualCapacity(value if exact else float(value), cut_probs, arith)
+
+
+def cold_exhaustive(net: DiamondNetwork, k: int, arithmetic: str = "float") -> SelectionReport:
+    """What :func:`hddiamond.select_k_exhaustive` reports, by a plain loop:
+    the full network and every size-k subnetwork solved unseeded, none
+    skipped, the first of the best kept (the smallest relay set)."""
+    full = hd_capacity(net, arithmetic).value
+    best = None
+    for positions in combinations(range(1, net.n + 1), k):
+        sub = net.subnetwork(positions)
+        value = hd_capacity(sub, arithmetic).value
+        if best is None or value > best[0]:
+            best = (value, sub.labels)
+    value, selected = best
+    return SelectionReport(
+        strategy="exhaustive",
+        selected=selected,
+        k=k,
+        value_kind="capacity",
+        value=value,
+        full_value=full,
+        fraction=_ratio(value, full),
+        bound=guarantee_bound("exhaustive", net.n, k),
+    )

@@ -24,8 +24,10 @@ from hddiamond import (
     gen_two_phase_schedule,
     gen_worst_case,
     hd_capacity,
+    restrict_mask,
     single_relay_capacity,
     sparsify_schedule,
+    subnetwork_seeds,
 )
 from hddiamond.flow import FlowGraph, max_flow
 from oracles import dual_capacity
@@ -710,6 +712,117 @@ class TestFloatWideSpreadDefects:
         exact = hd_capacity(net, "rational").value
         assert exact == pytest.approx(0.0500007499987, rel=1e-9)
         assert hd_capacity(net).value == pytest.approx(float(exact), rel=1e-9)
+
+    def test_negative_weight_escalates(self):
+        # The float LP ends on a state weight of -1.1e-9, so the positive
+        # weights sum past 1: no valid schedule, which used to escape as
+        # NetworkFormatError; now float mode escalates and rational mode runs
+        # its exact rounds unseeded.
+        net = DiamondNetwork((F(1, 10**7), 0), (0, 1))
+        with pytest.raises(SolverFailure):
+            capacity._solve(net, False)
+        assert hd_capacity(net).value == 0.0
+        assert hd_capacity(net, "rational").value == 0
+
+
+class TestSubnetworkSeeds:
+    """hd_capacity(..., seeds=) starts the double oracle from given pools,
+    typically a parent network's solve restricted to a subnetwork.  Seeds
+    only add pool entries: rational values cannot move, and float values
+    stay within the float tolerance policy."""
+
+    @staticmethod
+    def _pairs(net, arithmetic):
+        """(seeded, unseeded) value of every subnetwork of ``net``."""
+        full = hd_capacity(net, arithmetic)
+        for keep in range(1, 1 << net.n):
+            sub = net.subnetwork(keep)
+            seeds = subnetwork_seeds(full, keep)
+            yield (hd_capacity(sub, arithmetic, seeds=seeds).value,
+                   hd_capacity(sub, arithmetic).value)
+
+    def test_float_agrees_and_saves_lps(self, monkeypatch):
+        lps = []
+        real = capacity.solve_lp
+
+        def counting(*args, **kwargs):
+            lps.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "solve_lp", counting)
+        seeded_lps = unseeded_lps = 0
+        for n in range(2, 9):
+            for u in range(5):
+                net = gen_random(n, u)
+                full = hd_capacity(net)
+                for keep in range(1, 1 << n):
+                    sub = net.subnetwork(keep)
+                    start = len(lps)
+                    seeded = hd_capacity(sub, seeds=subnetwork_seeds(full, keep)).value
+                    middle = len(lps)
+                    unseeded = hd_capacity(sub).value
+                    seeded_lps += middle - start
+                    unseeded_lps += len(lps) - middle
+                    assert seeded == pytest.approx(unseeded, rel=1e-9)
+        assert seeded_lps < unseeded_lps / 2
+
+    def test_rational_equal(self):
+        for n in range(2, 7):
+            for u in range(5):
+                for seeded, unseeded in self._pairs(gen_random(n, u), "rational"):
+                    assert seeded == unseeded
+                    assert type(seeded) is type(unseeded)
+
+    def test_property_wide_spread(self):
+        # The link alphabet of TestFloatThenExact::test_property_wide_spread.
+        # On such spreads a float value is only as close to the exact one as
+        # the escalation gap allows (absolute below 1), seeded or not.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        links = st.sampled_from(
+            (0, UNBOUNDED) + tuple(10**e if e >= 0 else F(1, 10**-e) for e in range(-7, 8))
+        )
+
+        @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+        @hyp.given(data=st.data(), n=st.integers(2, 5))
+        def check(data, n):
+            up = data.draw(st.lists(links, min_size=n, max_size=n))
+            down = data.draw(st.lists(links, min_size=n, max_size=n))
+            net = DiamondNetwork(tuple(up), tuple(down))
+            exact = []
+            for seeded, unseeded in self._pairs(net, "rational"):
+                assert seeded == unseeded, net
+                exact.append(seeded)
+            for (seeded, unseeded), want in zip(self._pairs(net, "float"), exact):
+                for got in (seeded, unseeded):
+                    if want == UNBOUNDED:
+                        assert got == UNBOUNDED, net
+                    else:
+                        assert abs(got - want) <= capacity._escalate_gap(want), net
+
+        check()
+
+    def test_out_of_range_masks_raise(self):
+        net = gen_random(3, 0)
+        for arithmetic in ("float", "rational"):
+            for seeds in (((8,), ()), ((), (8,)), ((-1,), ()), ((), (-1,))):
+                with pytest.raises(ValueError):
+                    hd_capacity(net, arithmetic, seeds=seeds)
+        # Also where no LP would run: every cut has unbounded FD value.
+        with pytest.raises(ValueError):
+            hd_capacity(DiamondNetwork((UNBOUNDED,), (UNBOUNDED,)), seeds=((), (2,)))
+
+    def test_seeds_restrict_the_full_solve(self):
+        net = gen_random(5, 3)
+        full = hd_capacity(net)
+        keep = 0b10110
+        states, cuts = subnetwork_seeds(full, keep)
+        assert states == tuple(sorted({restrict_mask(s, keep) for s in full.optimal_schedule.support}))
+        assert cuts == tuple(sorted({restrict_mask(a, keep) for a in full.tight_cuts}))
+        assert subnetwork_seeds(hd_capacity(gen_half_tight(3)), 0b011) != ((), ())
+        unbounded = hd_capacity(DiamondNetwork((UNBOUNDED, 1), (UNBOUNDED, 1)))
+        assert unbounded.value == UNBOUNDED
+        assert subnetwork_seeds(unbounded, 0b01) == ((), ())
 
 
 class TestSparsify:

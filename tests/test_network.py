@@ -64,6 +64,19 @@ class TestMasks:
         with pytest.raises(NetworkFormatError):
             mask_from_relays([4], 3)
 
+    def test_restrict_packs_the_kept_bits(self):
+        from hddiamond import restrict_mask
+
+        # keep relays 2, 3, 4: mask bits 1, 2, 3 become bits 0, 1, 2
+        assert restrict_mask(0b1011, 0b1110) == 0b101
+        assert restrict_mask(0b1011, 0b1111) == 0b1011
+        assert restrict_mask(0b1011, 0) == 0
+        for keep in range(1, 32):
+            for mask in range(32):
+                kept = [k for k in range(5) if keep >> k & 1]
+                want = sum(1 << j for j, k in enumerate(kept) if mask >> k & 1)
+                assert restrict_mask(mask, keep) == want
+
 
 # ---------------------------------------------------------------------------
 # Networks

@@ -1,10 +1,12 @@
 """Relay-subset selection strategies and their proven fraction floors."""
 
+import math
 from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
 
+from hddiamond import selection
 from hddiamond import (
     STRATEGIES,
     DiamondNetwork,
@@ -23,6 +25,7 @@ from hddiamond import (
     select_k_iterative,
     worst_relay_index,
 )
+from oracles import cold_exhaustive
 
 
 class TestGuaranteeBound:
@@ -247,6 +250,63 @@ class TestExhaustive:
         rep = select_k_exhaustive(net, 1, arithmetic="rational")
         assert rep.selected == (1,)
 
+    def test_rational_matches_cold_unpruned_loop(self):
+        nets = [gen_random(n, 0) for n in range(2, 9)]
+        nets += [gen(n) for gen in (gen_worst_case, gen_half_tight) for n in range(2, 7)]
+        for net in nets:
+            for k in range(1, net.n + 1):
+                rep = select_k_exhaustive(net, k, arithmetic="rational")
+                assert rep == cold_exhaustive(net, k, "rational"), (net, k)
+
+    def test_float_matches_cold_unpruned_loop(self):
+        # Seeded float solves may differ from cold ones in the last bits.
+        for n in range(2, 9):
+            net = gen_random(n, 0)
+            for k in range(1, n + 1):
+                rep = select_k_exhaustive(net, k)
+                cold = cold_exhaustive(net, k)
+                assert rep.selected == cold.selected, (n, k)
+                assert rep.full_value == cold.full_value
+                assert rep.value == pytest.approx(cold.value, rel=1e-12)
+                assert rep.fraction == pytest.approx(cold.fraction, rel=1e-12)
+                assert rep.bound == cold.bound
+
+    def test_fd_bound_skips_solves(self, monkeypatch):
+        calls = []
+        real = selection.hd_capacity
+
+        def counting(net, *args, **kwargs):
+            calls.append(net.n)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "hd_capacity", counting)
+        net = gen_random(8, 0)
+        for k in range(1, 8):
+            calls.clear()
+            select_k_exhaustive(net, k)
+            assert calls[0] == 8 and len(calls) < 1 + math.comb(8, k), k
+        # Every single relay of the half-tight family has capacity and FD
+        # value 1/2: a tie with the incumbent is never skipped.
+        calls.clear()
+        select_k_exhaustive(gen_half_tight(4), 1, arithmetic="rational")
+        assert len(calls) == 1 + 4
+
+    def test_k_equals_n_reuses_the_full_solve(self, monkeypatch):
+        calls = []
+        real = selection.hd_capacity
+
+        def counting(net, *args, **kwargs):
+            calls.append(net.n)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "hd_capacity", counting)
+        for arithmetic, one in (("float", 1.0), ("rational", 1)):
+            for strategy in (select_k_exhaustive, drop_worst):
+                calls.clear()
+                rep = strategy(gen_random(5, 1), 5, arithmetic=arithmetic)
+                assert calls == [5]
+                assert rep.fraction == one and rep.selected == (1, 2, 3, 4, 5)
+
 
 class TestSelectKDispatch:
     def test_routes_by_name(self):
@@ -262,6 +322,15 @@ class TestSelectKDispatch:
             select_k(net, 2, "iterative", force_remove=[1])
         rep = select_k(net, 2, "worst-drop", force_remove=[1])
         assert rep.bound is None
+
+    def test_schedule_only_for_schedule_strategies(self):
+        net = gen_random(3, seed=4)
+        sched = hd_capacity(net).optimal_schedule
+        for strategy in ("worst-drop", "exhaustive"):
+            with pytest.raises(ValueError):
+                select_k(net, 2, strategy, schedule=sched)
+        assert select_k(net, 2, "iterative", schedule=sched).strategy == "iterative"
+        assert select_k(net, 2, "schedule-reuse", schedule=sched).strategy == "schedule-reuse"
 
     def test_schedule_reuse_needs_k_n_minus_1(self):
         net = gen_random(3, seed=4)
