@@ -43,6 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._tolerance import AGREE, ROUNDOFF, SETTLED
 from .errors import GuardExceeded, NetworkFormatError, SolverFailure
 from .flow import FlowGraph, max_flow
 from .network import (
@@ -260,7 +261,7 @@ def _scan_is_cheaper(n: int, k: int, exact: bool) -> bool:
 
 def _float_tol(value: LinkValue) -> float:
     """Float slack of a minimum: relative, and absolute below 1."""
-    return 1e-12 * max(1.0, abs(value))
+    return ROUNDOFF * max(1.0, abs(value))
 
 
 def _escalate_gap(value: LinkValue) -> float:
@@ -268,7 +269,7 @@ def _escalate_gap(value: LinkValue) -> float:
     is; a wider one sends the game to exact arithmetic.  Relative, and
     absolute below 1.  Float solves that settle leave gaps of a few 1e-9
     relative at most; those that stop at a wrong vertex leave 1e-7 or more."""
-    return 1e-8 * max(1.0, abs(value))
+    return SETTLED * max(1.0, abs(value))
 
 
 def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
@@ -526,7 +527,7 @@ def _game_primal(matrix: np.ndarray, exact: bool, basis=None):
 
 
 def _clean_weights(masks: Sequence[int], weights: Sequence, exact: bool) -> dict[int, LinkValue]:
-    floor = 0 if exact else 1e-12
+    floor = 0 if exact else ROUNDOFF
     out: dict[int, LinkValue] = {}
     for m, w in zip(masks, weights):
         if w > floor:
@@ -678,6 +679,8 @@ def _solve(
         )
         return unbounded, (), ()
 
+    # A best response joins its pool only when it beats the current
+    # mixture's value by more than this; the loop's own threshold.
     eps = Fraction(0) if exact else 1e-11
 
     # Strategy generation: start from the bookend cuts and the natural
@@ -745,7 +748,7 @@ def _solve(
         raise SolverFailure(
             f"float floor {float(value)!r} and ceiling {float(state_val)!r} do not meet"
         )
-    tol = 0 if exact else 1e-9 * max(1.0, abs(value))
+    tol = 0 if exact else AGREE * max(1.0, abs(value))
     tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= value + tol))
     try:
         schedule = Schedule(n, probs)
@@ -771,7 +774,7 @@ def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
     at most n+1 state columns), and the schedule of :func:`hd_capacity` is
     returned as it is whenever it is that sparse.  Otherwise the fallback
     solves restricted games over every state subset of size at most n+1
-    until one attains the capacity within 1e-8 (None if none does); it
+    until one attains the capacity within ``SETTLED`` (None if none does); it
     raises :class:`GuardExceeded` past ``n = 4``.
     """
     res = hd_capacity(net)
@@ -784,7 +787,7 @@ def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
 
 def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
     """First restricted game over at most n+1 states whose schedule's rate
-    over the finite-FD cuts is within 1e-8 of ``target``, the capacity.
+    over the finite-FD cuts is within ``SETTLED`` of ``target``, the capacity.
 
     Only the states that are best responses to an optimal cut mixture of
     the full game are tried: by complementary slackness no optimal schedule
@@ -796,12 +799,11 @@ def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
         raise GuardExceeded(
             f"sparsify_schedule search on {n} relays exceeds guard {_SEARCH_GUARD}"
         )
-    tol = 1e-8
     maxl, maxr = _tables(net, False)
     kept = np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)
     _, _, mu, _ = _game_primal(_payoff(maxl, maxr, kept, np.arange(1 << n)), False)
     state_vals = _cut_values(n, maxr, maxl, zip(kept, mu))
-    best = [int(s) for s in np.flatnonzero(state_vals >= state_vals.max() - tol)]
+    best = [int(s) for s in np.flatnonzero(state_vals >= state_vals.max() - SETTLED)]
     for k in range(1, n + 2):
         for states in combinations(best, k):
             try:
@@ -809,10 +811,10 @@ def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
             except SolverFailure:
                 continue
             probs = _clean_weights(states, lam, False)
-            if value < target - tol or not probs:
+            if value < target - SETTLED or not probs:
                 continue
             # Certificate: the schedule's own rate, not the LP's objective.
             rate = _cut_values(n, maxl, maxr, sorted(probs.items()))[kept].min()
-            if abs(rate - target) <= tol:
+            if abs(rate - target) <= SETTLED:
                 return Schedule(n, probs)
     return None

@@ -39,6 +39,7 @@ from .network import (
     gen_half_tight,
     gen_random,
     gen_worst_case,
+    load_network,
     network_to_dict,
     parse_network,
     render_mask,
@@ -55,8 +56,7 @@ def _read_network(path: str) -> DiamondNetwork:
     if path == "-":
         return parse_network(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_network(fh.read())
+        return load_network(path)
     except OSError as exc:
         raise NetworkFormatError(f"cannot read {path}: {exc}") from exc
 
@@ -157,9 +157,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         "notes": list(report.notes),
     }
     _emit_json(out)
-    if report.bound is not None and float(report.fraction) < float(report.bound) - 1e-9:
-        return 4
-    return 0
+    return 4 if report.below_bound else 0
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from ._tolerance import AGREE
 from .errors import NetworkFormatError
 
 __all__ = [
@@ -274,9 +275,6 @@ class DiamondNetwork:
 # Schedules
 # ---------------------------------------------------------------------------
 
-_PROB_SUM_TOL = 1e-9
-
-
 def _is_exact(value: LinkValue) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
@@ -289,7 +287,7 @@ class Schedule:
     (zero-probability states are dropped on construction, keys are kept in
     ascending mask order).  Probabilities may be exact (int/Fraction) or
     float; an all-exact schedule must sum to exactly 1, a float one to 1
-    within 1e-9.
+    within ``AGREE``.
     """
 
     n: int
@@ -312,7 +310,7 @@ class Schedule:
         if all(_is_exact(p) for p in cleaned.values()):
             if total != 1:
                 raise NetworkFormatError(f"exact probabilities sum to {total}, not 1")
-        elif abs(total - 1) > _PROB_SUM_TOL:
+        elif abs(total - 1) > AGREE:
             raise NetworkFormatError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", cleaned)
 
@@ -348,9 +346,7 @@ class Schedule:
         return cls(n, {parse_mask(s, n): p for s, p in probs.items()})
 
 
-def derive_natural_schedule(
-    sched: Schedule, keep: int | str | Iterable[int], n: int | None = None
-) -> Schedule:
+def derive_natural_schedule(sched: Schedule, keep: int | str | Iterable[int]) -> Schedule:
     """Marginalize a schedule onto a relay subset.
 
     The kept relays, in ascending original index, become relays 1..k of the
@@ -358,10 +354,7 @@ def derive_natural_schedule(
     all full states that restrict to it.  Exact probabilities stay exact.
     Marginalizing in stages equals marginalizing once (tested property).
     """
-    n = sched.n if n is None else n
-    if n != sched.n:
-        raise NetworkFormatError(f"schedule is over {sched.n} relays, not {n}")
-    mask = _as_mask(keep, n)
+    mask = _as_mask(keep, sched.n)
     if mask == 0:
         raise NetworkFormatError("cannot marginalize onto an empty relay set")
     out: dict[int, LinkValue] = {}

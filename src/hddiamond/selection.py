@@ -34,6 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from ._tolerance import AGREE, SETTLED
 from .capacity import (
     CapacityResult,
     _float_tol,
@@ -69,7 +70,8 @@ __all__ = [
 
 STRATEGIES = ("worst-drop", "schedule-reuse", "iterative", "exhaustive")
 
-_ROUND_TOL = 1e-8  # slack for the per-round floor assertion in float mode
+#: Largest relay count select_k_exhaustive accepts for k > 2.
+_EXHAUSTIVE_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,17 @@ class SelectionReport:
     fraction: LinkValue
     bound: Fraction | None
     notes: tuple[str, ...] = ()
+
+    @property
+    def below_bound(self) -> bool:
+        """Whether ``fraction`` falls short of the proven ``bound``: exactly
+        when both are exact, else by more than the ``AGREE`` slack.  False
+        when no bound applies."""
+        if self.bound is None:
+            return False
+        if _is_exact(self.fraction) and _is_exact(self.bound):
+            return self.fraction < self.bound
+        return float(self.fraction) < float(self.bound) - AGREE
 
 
 def _ratio(value: LinkValue, full: LinkValue) -> LinkValue:
@@ -269,7 +282,7 @@ def select_k_iterative(
         m = current.n
         _, sub, sub_sched, new_rate = _reuse_round(current, cur_sched)
         floor = Fraction(m - 1, m) * rate
-        if new_rate < floor - _ROUND_TOL:
+        if new_rate < floor - SETTLED:
             raise BoundViolation(
                 f"round {m}->{m - 1} rate {new_rate} fell below floor {floor}"
             )
@@ -323,10 +336,9 @@ def select_k_exhaustive(
     k: int,
     *,
     arithmetic: str = "float",
-    guard: int = 10,
 ) -> SelectionReport:
     """Solve every size-k subnetwork and keep the best (ties: smallest
-    relay set).  Guarded: allowed when n <= guard or k <= 2 (where the
+    relay set).  Guarded: allowed when n <= 10 or k <= 2 (where the
     number of subnetworks stays trivial even for larger n).  The guard is
     checked before anything is solved.
 
@@ -338,9 +350,10 @@ def select_k_exhaustive(
     n = net.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if n > guard and k > 2:
+    if n > _EXHAUSTIVE_GUARD and k > 2:
         raise GuardExceeded(
-            f"select_k_exhaustive on {n} relays with k={k} exceeds guard {guard}"
+            f"select_k_exhaustive on {n} relays with k={k} "
+            f"exceeds guard {_EXHAUSTIVE_GUARD}"
         )
     full_value, full = _certified_capacity(net, arithmetic)
     best_value: LinkValue | None = full_value

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
+from ._tolerance import AGREE
 from .errors import GuardExceeded
 from .network import DiamondNetwork, LinkValue
 
@@ -81,15 +82,15 @@ def threshold_sets(sets: Iterable[Iterable[Hashable]]) -> list[frozenset]:
 
 
 def check_threshold_sum_inequality(
-    f: SetFunction, sets: Iterable[Iterable[Hashable]], *, tol: float = 1e-9
+    f: SetFunction, sets: Iterable[Iterable[Hashable]]
 ) -> InequalityCheck:
     """For submodular f: sum of f over a family >= sum of f over its
-    threshold sets.  Evaluates both sides and compares (within tol, for
-    float-valued f)."""
+    threshold sets.  Evaluates both sides and compares (within ``AGREE``,
+    for float-valued f)."""
     fam = _as_family(sets)
     lhs = sum(f(s) for s in fam)
     rhs = sum(f(e) for e in threshold_sets(fam))
-    return InequalityCheck(lhs, rhs, lhs >= rhs - tol)
+    return InequalityCheck(lhs, rhs, lhs >= rhs - AGREE)
 
 
 def _union_of_intersections(
@@ -119,7 +120,6 @@ def check_kwise_intersection_inequality(
     k: int,
     *,
     ambient: Iterable[Hashable] | None = None,
-    tol: float = 1e-9,
 ) -> InequalityCheck:
     """The exchange step that powers the threshold-sum inequality.
 
@@ -129,7 +129,8 @@ def check_kwise_intersection_inequality(
         f(U_k(fam; B)) + f(U_{k+1}(fam))
             >= f(U_{k+1}(fam + [B])) + f(U_{k+1}(fam; B)).
 
-    Evaluates both sides for the given family/extra/k.
+    Evaluates both sides for the given family/extra/k (within ``AGREE``,
+    for float-valued f).
     """
     fam = _as_family(sets)
     n = len(fam)
@@ -145,7 +146,7 @@ def check_kwise_intersection_inequality(
     rhs = f(_union_of_intersections(tuple(fam) + (b,), k + 1, omega)) + f(
         _union_of_intersections(fam, k + 1, omega, extra=b)
     )
-    return InequalityCheck(lhs, rhs, lhs >= rhs - tol)
+    return InequalityCheck(lhs, rhs, lhs >= rhs - AGREE)
 
 
 def is_submodular(
@@ -153,12 +154,12 @@ def is_submodular(
     ground: Iterable[Hashable],
     *,
     guard: int = 12,
-    tol: float = 1e-9,
 ) -> SubmodularityCheck:
     """Exhaustively test the diminishing-returns characterization
     f(S+x) + f(S+y) >= f(S+x+y) + f(S) for all S and distinct x, y outside
-    S (equivalent to submodularity on a finite ground set).  Exponential in
-    the ground size, hence the guard."""
+    S (equivalent to submodularity on a finite ground set), within
+    ``AGREE`` for float-valued f.  Exponential in the ground size, hence
+    the guard."""
     elems = sorted(set(ground), key=repr)
     n = len(elems)
     if n > guard:
@@ -168,7 +169,7 @@ def is_submodular(
         rest = [e for i, e in enumerate(elems) if not mask >> i & 1]
         base = f(s)
         for x, y in combinations(rest, 2):
-            if f(s | {x}) + f(s | {y}) < f(s | {x, y}) + base - tol:
+            if f(s | {x}) + f(s | {y}) < f(s | {x, y}) + base - AGREE:
                 return SubmodularityCheck(False, (s, x, y))
     return SubmodularityCheck(True, None)
 
@@ -207,15 +208,14 @@ def _best(values: Iterable[LinkValue]) -> LinkValue:
 def check_cut_completion_bound(
     net: DiamondNetwork,
     subnet_cuts: Sequence[Iterable[int]],
-    *,
-    tol: float = 1e-9,
 ) -> CutCompletionCheck:
     """Evaluate both sides of the cut-completion guarantee on a network.
 
     Left side: total value of the given per-subnetwork cuts (for cut A_i of
     the subnetwork missing relay i: best uplink inside A_i plus best
     downlink among the subnetwork's relays outside it).  Right side: total
-    full-network cut value of :func:`complete_cut_family`.
+    full-network cut value of :func:`complete_cut_family`.  The two compare
+    within ``AGREE`` for float links.
     """
     n = net.n
     full_cuts = complete_cut_family(subnet_cuts, n)
@@ -230,7 +230,7 @@ def check_cut_completion_bound(
         rhs = rhs + _best(net.uplink(x) for x in a) + _best(
             net.downlink(x) for x in outside
         )
-    return CutCompletionCheck(lhs, rhs, lhs >= rhs - tol, tuple(full_cuts))
+    return CutCompletionCheck(lhs, rhs, lhs >= rhs - AGREE, tuple(full_cuts))
 
 
 def check_complement_duality(

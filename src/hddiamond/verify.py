@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._tolerance import AGREE, ROUNDOFF, SETTLED
 from .capacity import (
     fd_capacity_fast,
     fixed_schedule_rate,
@@ -70,8 +71,6 @@ from .submodular import (
 
 __all__ = ["SuiteReport", "SUITES", "run_suite"]
 
-_TOL = 1e-8
-
 
 @dataclass
 class SuiteReport:
@@ -106,7 +105,7 @@ class SuiteReport:
 
 def _random_schedule(rng: np.random.Generator, n: int) -> Schedule:
     weights = rng.dirichlet(np.ones(1 << n))
-    probs = {s: float(p) for s, p in enumerate(weights) if p > 1e-12}
+    probs = {s: float(p) for s, p in enumerate(weights) if p > ROUNDOFF}
     total = sum(probs.values())
     return Schedule(n, {s: p / total for s, p in probs.items()})
 
@@ -145,7 +144,7 @@ def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
                     net.subnetwork(comp), derive_natural_schedule(sched, comp)
                 ).value
             )
-            if lhs > rhs + _TOL:
+            if lhs > rhs + SETTLED:
                 ok = False
                 worst = f"rate split {relays_from_mask(mask)}: {lhs} > {rhs}"
                 break
@@ -157,7 +156,7 @@ def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
             hd_capacity(net.subnetwork(part), seeds=subnetwork_seeds(full, part)).value
             for part in (split, comp)
         )
-        if c_full > c_parts + _TOL:
+        if c_full > c_parts + SETTLED:
             ok = False
             worst = f"capacity split {relays_from_mask(split)}: {c_full} > {c_parts}"
         rep.record(
@@ -268,23 +267,23 @@ def _suite_guarantees(trials: int, seed: int, n_max: int) -> SuiteReport:
         detail = "all floors met"
         for k in range(1, n + 1):
             wd = drop_worst(net, k)
-            if wd.fraction < wd.bound - _TOL:
+            if wd.below_bound:
                 ok, detail = False, f"worst-drop k={k}: {wd.fraction} < {wd.bound}"
                 break
             it = select_k_iterative(net, k)
-            if it.fraction < it.bound - _TOL:
+            if it.below_bound:
                 ok, detail = False, f"iterative k={k}: {it.fraction} < {it.bound}"
                 break
             ex = select_k_exhaustive(net, k)
-            if ex.fraction < ex.bound - _TOL:
+            if ex.below_bound:
                 ok, detail = False, f"exhaustive k={k}: {ex.fraction} < {ex.bound}"
                 break
-            if ex.value < it.value - _TOL:
+            if ex.value < it.value - SETTLED:
                 ok, detail = False, f"exhaustive k={k} below iterative: {ex.value} < {it.value}"
                 break
         if ok and n >= 2:
             sr = select_drop_one_schedule_reuse(net)
-            if sr.fraction < sr.bound - _TOL:
+            if sr.below_bound:
                 ok, detail = False, f"schedule-reuse: {sr.fraction} < {sr.bound}"
         rep.record(f"trial{t:03d}(n={n})", ok, "fraction >= bound", detail)
     return rep
@@ -305,7 +304,7 @@ def _suite_lemma5(trials: int, seed: int, n_max: int) -> SuiteReport:
             total += fixed_schedule_rate(
                 net.subnetwork(keep), derive_natural_schedule(sched, keep)
             ).value
-        ok = total >= (n - 1) * full - _TOL
+        ok = total >= (n - 1) * full - SETTLED
         rep.record(
             f"trial{t:03d}(n={n})",
             ok,
@@ -320,12 +319,12 @@ def _suite_fig2(trials: int, seed: int, n_max: int) -> SuiteReport:
     for n in range(2, 11):
         net = gen_worst_case(n)
         cap = hd_capacity(net)
-        ok = abs(cap.value - 1.0) <= 1e-9
+        ok = abs(cap.value - 1.0) <= AGREE
         detail = f"C={cap.value}"
         if ok:
             best = select_k_exhaustive(net, n - 1)
             expect = Fraction(n - 1, n)
-            ok = abs(best.fraction - float(expect)) <= 1e-9
+            ok = abs(best.fraction - float(expect)) <= AGREE
             detail = f"C={cap.value}, best drop-one fraction={best.fraction}"
         rep.record(f"n={n}", ok, f"C=1, fraction={n - 1}/{n}", detail)
     return rep
@@ -342,14 +341,14 @@ def _suite_theorem3(trials: int, seed: int, n_max: int) -> SuiteReport:
         expect2 = Fraction(t, 2 * t - 1)
         if n <= 10:
             cap = hd_capacity(net)
-            full_ok = abs(cap.value - 1.0) <= 1e-9
+            full_ok = abs(cap.value - 1.0) <= AGREE
             b1 = select_k_exhaustive(net, 1)
             b2 = select_k_exhaustive(net, 2)
             f1, f2 = b1.fraction, b2.fraction
             ok = (
                 full_ok
-                and abs(f1 - float(expect1)) <= 1e-9
-                and abs(f2 - float(expect2)) <= 1e-9
+                and abs(f1 - float(expect1)) <= AGREE
+                and abs(f2 - float(expect2)) <= AGREE
             )
             how = "lp"
         else:
@@ -382,10 +381,10 @@ def _suite_theorem3(trials: int, seed: int, n_max: int) -> SuiteReport:
     # The family is built to make small subsets progressively weaker: the
     # best-single fraction decreases toward 1/4 and the best-pair fraction
     # toward 1/2, both from above, as the network grows.
-    falling1 = all(a >= b - 1e-12 for a, b in zip(best1_seen, best1_seen[1:]))
-    falling2 = all(a >= b - 1e-12 for a, b in zip(best2_seen, best2_seen[1:]))
-    above = all(f > 0.25 - 1e-12 for f in best1_seen) and all(
-        f > 0.5 - 1e-12 for f in best2_seen
+    falling1 = all(a >= b - ROUNDOFF for a, b in zip(best1_seen, best1_seen[1:]))
+    falling2 = all(a >= b - ROUNDOFF for a, b in zip(best2_seen, best2_seen[1:]))
+    above = all(f > 0.25 - ROUNDOFF for f in best1_seen) and all(
+        f > 0.5 - ROUNDOFF for f in best2_seen
     )
     near = abs(best1_seen[-1] - 0.25) < 0.05 and abs(best2_seen[-1] - 0.5) < 0.1
     rep.record(
@@ -410,7 +409,7 @@ def _suite_sparsify(trials: int, seed: int, n_max: int) -> SuiteReport:
             rep.record(f"trial{t:03d}(n={n})", False, "sparse schedule found", "None")
             continue
         rate = fixed_schedule_rate(net, sched).value
-        ok = len(sched.support) <= n + 1 and abs(rate - cap) <= _TOL
+        ok = len(sched.support) <= n + 1 and abs(rate - cap) <= SETTLED
         rep.record(
             f"trial{t:03d}(n={n})",
             ok,
@@ -435,7 +434,7 @@ def _suite_edge_delta(trials: int, seed: int, n_max: int) -> SuiteReport:
             keep = invert_mask(1 << (i - 1), n)
             sub_cap = hd_capacity(net.subnetwork(keep), seeds=subnetwork_seeds(full, keep)).value
             delta = min(net.uplinks[i - 1], net.downlinks[i - 1])
-            if sub_cap < cap - delta - _TOL:
+            if sub_cap < cap - delta - SETTLED:
                 ok = False
                 detail = f"drop {i}: {sub_cap} < {cap} - {delta}"
                 break

@@ -2,11 +2,14 @@
 
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from hddiamond import cli
 from hddiamond.cli import main
+from hddiamond.selection import SelectionReport, select_k
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -201,6 +204,23 @@ class TestSelect:
             assert data["strategy"] == strategy
             assert float(data["fraction"]) >= float(data["bound"]) - 1e-9
 
+    def test_below_bound_exits_4(self, capsys, worst4, monkeypatch):
+        monkeypatch.setattr(SelectionReport, "below_bound", property(lambda self: True))
+        code, out, _ = run(capsys, "select", "--network", worst4, "-k", "3", "--exact")
+        assert code == 4
+        assert json.loads(out)["fraction"] == 0.75  # the report is still printed
+
+    def test_exact_shortfall_exits_4(self, capsys, worst4, monkeypatch):
+        # An exact fraction a hair below its bound is a violation, however
+        # small: exact reports are not compared in float.
+        def short(*args, **kwargs):
+            rep = select_k(*args, **kwargs)
+            return replace(rep, fraction=rep.bound - F(1, 10**12))
+
+        monkeypatch.setattr(cli, "select_k", short)
+        code, _, _ = run(capsys, "select", "--network", worst4, "-k", "3", "--exact")
+        assert code == 4
+
     def test_bad_k_exits_2(self, capsys, worst4):
         code, _, err = run(capsys, "select", "--network", worst4, "-k", "9")
         assert code == 2
@@ -270,6 +290,15 @@ class TestVerify:
         assert data["suite"] == "submodular"
         assert data["failures"] == []
         assert data["passes"] == data["instances"] > 0
+
+    def test_guarantees_fail_when_below_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(SelectionReport, "below_bound", property(lambda self: True))
+        code, out, _ = run(
+            capsys, "verify", "--suite", "guarantees", "--trials", "3", "--n-max", "3"
+        )
+        data = json.loads(out)
+        assert code == 1
+        assert len(data["failures"]) == data["instances"] == 3
 
     def test_unknown_suite_exits_2_via_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -308,6 +308,34 @@ class TestExhaustive:
                 assert rep.fraction == one and rep.selected == (1, 2, 3, 4, 5)
 
 
+class TestBelowBound:
+    def report(self, fraction, bound=F(1, 2)):
+        return selection.SelectionReport(
+            "exhaustive", (1,), 1, "capacity", fraction, 1, fraction, bound
+        )
+
+    def test_exact_compares_exactly(self):
+        assert self.report(F(1, 2) - F(1, 10**15)).below_bound
+        assert not self.report(F(1, 2)).below_bound
+        assert not self.report(F(1)).below_bound
+
+    def test_float_allows_the_agree_slack(self):
+        assert not self.report(0.5 - 1e-10).below_bound
+        assert self.report(0.5 - 1e-8).below_bound
+        assert not self.report(0.5).below_bound
+
+    def test_no_bound_is_never_below(self):
+        assert not self.report(0.0, bound=None).below_bound
+
+    def test_strategies_meet_their_bounds(self):
+        net = gen_random(5, seed=2)
+        for strategy in STRATEGIES:
+            for k in ([4] if strategy == "schedule-reuse" else range(1, 6)):
+                for arithmetic in ("float", "rational"):
+                    rep = select_k(net, k, strategy, arithmetic=arithmetic)
+                    assert not rep.below_bound, rep
+
+
 class TestSelectKDispatch:
     def test_routes_by_name(self):
         net = gen_random(3, seed=4)
