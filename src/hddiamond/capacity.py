@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._tolerance import AGREE, ROUNDOFF, SETTLED
+from ._tolerance import AGREE, ROUNDOFF, SETTLED, _is_exact, below
 from .errors import GuardExceeded, NetworkFormatError, SolverFailure
 from .flow import FlowGraph, max_flow
 from .network import (
@@ -53,7 +53,6 @@ from .network import (
     Schedule,
     _as_mask,
     _check_link,
-    _is_exact,
     gen_two_phase_schedule,
     invert_mask,
     is_unbounded,
@@ -811,7 +810,7 @@ def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
             except SolverFailure:
                 continue
             probs = _clean_weights(states, lam, False)
-            if value < target - SETTLED or not probs:
+            if below(value, target, SETTLED) or not probs:
                 continue
             # Certificate: the schedule's own rate, not the LP's objective.
             rate = _cut_values(n, maxl, maxr, sorted(probs.items()))[kept].min()

@@ -172,10 +172,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        # A suite with no instances has no failures and would pass vacuously.
-        raise NetworkFormatError(f"bad --trials {args.trials}, want at least 1")
-    rep = run_suite(args.suite, trials=args.trials, seed=args.seed, n_max=args.n_max)
+    try:
+        rep = run_suite(args.suite, trials=args.trials, seed=args.seed, n_max=args.n_max)
+    except ValueError as exc:
+        raise NetworkFormatError(str(exc)) from exc
     _emit_json(rep.to_dict())
     return 0 if rep.ok else 1
 

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from ._tolerance import AGREE
+from ._tolerance import AGREE, _is_exact, below
 from .errors import NetworkFormatError
 
 __all__ = [
@@ -275,10 +275,6 @@ class DiamondNetwork:
 # Schedules
 # ---------------------------------------------------------------------------
 
-def _is_exact(value: LinkValue) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """A probability distribution over the ``2**n`` listen/transmit states.
@@ -286,8 +282,8 @@ class Schedule:
     Stored sparsely: ``probs`` maps state masks to positive probabilities
     (zero-probability states are dropped on construction, keys are kept in
     ascending mask order).  Probabilities may be exact (int/Fraction) or
-    float; an all-exact schedule must sum to exactly 1, a float one to 1
-    within ``AGREE``.
+    float; they must sum to 1, exactly when all are exact and within
+    ``AGREE`` otherwise.
     """
 
     n: int
@@ -307,11 +303,8 @@ class Schedule:
             if p != 0:
                 cleaned[mask] = p
         total = sum(cleaned.values())
-        if all(_is_exact(p) for p in cleaned.values()):
-            if total != 1:
-                raise NetworkFormatError(f"exact probabilities sum to {total}, not 1")
-        elif abs(total - 1) > AGREE:
-            raise NetworkFormatError(f"probabilities sum to {total!r}, not 1")
+        if below(total, 1, AGREE) or below(1, total, AGREE):
+            raise NetworkFormatError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probs", cleaned)
 
     @property
@@ -468,9 +461,12 @@ def gen_random(
     """A reproducible random network: all 2n link capacities drawn
     independently and uniformly from ``[lo, hi)`` with numpy's seeded
     generator.  Same (n, seed, range) -> identical network, bit for bit.
+    ``seed`` must be an ``int`` >= 0.
     """
     if not isinstance(n, int) or n < 1:
         raise NetworkFormatError(f"need an integer n >= 1, got {n!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise NetworkFormatError(f"need an integer seed >= 0, got {seed!r}")
     lo, hi = capacity_range
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo < hi):
         raise NetworkFormatError(f"need finite 0 <= lo < hi, got {capacity_range!r}")

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._tolerance import AGREE, SETTLED
+from ._tolerance import AGREE, SETTLED, below
 from .capacity import (
     CapacityResult,
     _float_tol,
@@ -50,7 +50,6 @@ from .network import (
     DiamondNetwork,
     LinkValue,
     Schedule,
-    _is_exact,
     derive_natural_schedule,
     gen_two_phase_schedule,
     mask_from_relays,
@@ -101,11 +100,7 @@ class SelectionReport:
         """Whether ``fraction`` falls short of the proven ``bound``: exactly
         when both are exact, else by more than the ``AGREE`` slack.  False
         when no bound applies."""
-        if self.bound is None:
-            return False
-        if _is_exact(self.fraction) and _is_exact(self.bound):
-            return self.fraction < self.bound
-        return float(self.fraction) < float(self.bound) - AGREE
+        return self.bound is not None and below(self.fraction, self.bound, AGREE)
 
 
 def _ratio(value: LinkValue, full: LinkValue) -> LinkValue:
@@ -282,7 +277,7 @@ def select_k_iterative(
         m = current.n
         _, sub, sub_sched, new_rate = _reuse_round(current, cur_sched)
         floor = Fraction(m - 1, m) * rate
-        if new_rate < floor - SETTLED:
+        if below(new_rate, floor, SETTLED):
             raise BoundViolation(
                 f"round {m}->{m - 1} rate {new_rate} fell below floor {floor}"
             )
@@ -323,12 +318,10 @@ def _certified_capacity(
 def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
     """Whether ``sub``'s FD value shows it cannot beat the incumbent value
     ``best``: its HD capacity is at most its FD value, so below ``best`` it
-    can never win the strict ``>`` comparison.  Exact values compare
-    exactly; a float one keeps the float slack of a minimum."""
+    can never win the strict ``>`` comparison.  In float the FD value keeps
+    the slack of a minimum."""
     fd = fd_capacity_fast(sub)
-    if _is_exact(fd) and _is_exact(best):
-        return fd < best
-    return fd + _float_tol(fd) < best
+    return below(fd, best, _float_tol(fd))
 
 
 def select_k_exhaustive(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
-from ._tolerance import AGREE
+from ._tolerance import AGREE, below
 from .errors import GuardExceeded
 from .network import DiamondNetwork, LinkValue
 
@@ -43,6 +43,9 @@ SetFunction = Callable[[frozenset], LinkValue]
 
 @dataclass(frozen=True)
 class InequalityCheck:
+    """Both sides of an inequality ``lhs >= rhs`` and whether it holds:
+    exactly when both sides are exact, else within ``AGREE``."""
+
     lhs: LinkValue
     rhs: LinkValue
     holds: bool
@@ -85,12 +88,12 @@ def check_threshold_sum_inequality(
     f: SetFunction, sets: Iterable[Iterable[Hashable]]
 ) -> InequalityCheck:
     """For submodular f: sum of f over a family >= sum of f over its
-    threshold sets.  Evaluates both sides and compares (within ``AGREE``,
-    for float-valued f)."""
+    threshold sets.  Evaluates both sides and compares them: exactly for
+    exact-valued f, else within ``AGREE``."""
     fam = _as_family(sets)
     lhs = sum(f(s) for s in fam)
     rhs = sum(f(e) for e in threshold_sets(fam))
-    return InequalityCheck(lhs, rhs, lhs >= rhs - AGREE)
+    return InequalityCheck(lhs, rhs, not below(lhs, rhs, AGREE))
 
 
 def _union_of_intersections(
@@ -129,8 +132,8 @@ def check_kwise_intersection_inequality(
         f(U_k(fam; B)) + f(U_{k+1}(fam))
             >= f(U_{k+1}(fam + [B])) + f(U_{k+1}(fam; B)).
 
-    Evaluates both sides for the given family/extra/k (within ``AGREE``,
-    for float-valued f).
+    Evaluates both sides for the given family/extra/k and compares them:
+    exactly for exact-valued f, else within ``AGREE``.
     """
     fam = _as_family(sets)
     n = len(fam)
@@ -146,7 +149,7 @@ def check_kwise_intersection_inequality(
     rhs = f(_union_of_intersections(tuple(fam) + (b,), k + 1, omega)) + f(
         _union_of_intersections(fam, k + 1, omega, extra=b)
     )
-    return InequalityCheck(lhs, rhs, lhs >= rhs - AGREE)
+    return InequalityCheck(lhs, rhs, not below(lhs, rhs, AGREE))
 
 
 def is_submodular(
@@ -157,9 +160,9 @@ def is_submodular(
 ) -> SubmodularityCheck:
     """Exhaustively test the diminishing-returns characterization
     f(S+x) + f(S+y) >= f(S+x+y) + f(S) for all S and distinct x, y outside
-    S (equivalent to submodularity on a finite ground set), within
-    ``AGREE`` for float-valued f.  Exponential in the ground size, hence
-    the guard."""
+    S (equivalent to submodularity on a finite ground set): exactly for
+    exact-valued f, else within ``AGREE``.  Exponential in the ground size,
+    hence the guard."""
     elems = sorted(set(ground), key=repr)
     n = len(elems)
     if n > guard:
@@ -169,7 +172,7 @@ def is_submodular(
         rest = [e for i, e in enumerate(elems) if not mask >> i & 1]
         base = f(s)
         for x, y in combinations(rest, 2):
-            if f(s | {x}) + f(s | {y}) < f(s | {x, y}) + base - AGREE:
+            if below(f(s | {x}) + f(s | {y}), f(s | {x, y}) + base, AGREE):
                 return SubmodularityCheck(False, (s, x, y))
     return SubmodularityCheck(True, None)
 
@@ -215,7 +218,7 @@ def check_cut_completion_bound(
     the subnetwork missing relay i: best uplink inside A_i plus best
     downlink among the subnetwork's relays outside it).  Right side: total
     full-network cut value of :func:`complete_cut_family`.  The two compare
-    within ``AGREE`` for float links.
+    exactly for exact links, else within ``AGREE``.
     """
     n = net.n
     full_cuts = complete_cut_family(subnet_cuts, n)
@@ -230,7 +233,7 @@ def check_cut_completion_bound(
         rhs = rhs + _best(net.uplink(x) for x in a) + _best(
             net.downlink(x) for x in outside
         )
-    return CutCompletionCheck(lhs, rhs, lhs >= rhs - AGREE, tuple(full_cuts))
+    return CutCompletionCheck(lhs, rhs, not below(lhs, rhs, AGREE), tuple(full_cuts))
 
 
 def check_complement_duality(

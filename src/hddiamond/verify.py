@@ -20,11 +20,13 @@ Suites (names are the CLI tokens):
 * ``fig2``        — the hard even family: full value 1, best drop-one
   fraction exactly (n-1)/n.
 * ``theorem3``    — the same family's best-1 and best-2 fractions follow
-  their closed forms toward the 1/4 and 1/2 limits (exact-arithmetic
-  sandwich past the LP guard).
+  their closed forms toward the 1/4 and 1/2 limits.
 * ``sparsify``    — an optimal schedule with at most n+1 states exists and
   is found.
 * ``edge-delta``  — dropping relay i costs at most min(uplink_i, downlink_i).
+
+``fig2`` and ``theorem3`` compare rational exhaustive selection with their
+closed forms under ``==``.  Every other check asks ``_tolerance.below``.
 """
 
 from __future__ import annotations
@@ -35,21 +37,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._tolerance import AGREE, ROUNDOFF, SETTLED
+from ._tolerance import ROUNDOFF, SETTLED, below
 from .capacity import (
-    fd_capacity_fast,
+    _effective_guard,
     fixed_schedule_rate,
     hd_capacity,
-    single_relay_capacity,
     sparsify_schedule,
     subnetwork_seeds,
 )
+from .errors import GuardExceeded
 from .network import (
     DiamondNetwork,
     Schedule,
     derive_natural_schedule,
     gen_random,
-    gen_two_phase_schedule,
     gen_worst_case,
     invert_mask,
     relays_from_mask,
@@ -144,7 +145,7 @@ def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
                     net.subnetwork(comp), derive_natural_schedule(sched, comp)
                 ).value
             )
-            if lhs > rhs + SETTLED:
+            if below(rhs, lhs, SETTLED):
                 ok = False
                 worst = f"rate split {relays_from_mask(mask)}: {lhs} > {rhs}"
                 break
@@ -156,7 +157,7 @@ def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
             hd_capacity(net.subnetwork(part), seeds=subnetwork_seeds(full, part)).value
             for part in (split, comp)
         )
-        if c_full > c_parts + SETTLED:
+        if below(c_parts, c_full, SETTLED):
             ok = False
             worst = f"capacity split {relays_from_mask(split)}: {c_full} > {c_parts}"
         rep.record(
@@ -278,7 +279,7 @@ def _suite_guarantees(trials: int, seed: int, n_max: int) -> SuiteReport:
             if ex.below_bound:
                 ok, detail = False, f"exhaustive k={k}: {ex.fraction} < {ex.bound}"
                 break
-            if ex.value < it.value - SETTLED:
+            if below(ex.value, it.value, SETTLED):
                 ok, detail = False, f"exhaustive k={k} below iterative: {ex.value} < {it.value}"
                 break
         if ok and n >= 2:
@@ -304,7 +305,7 @@ def _suite_lemma5(trials: int, seed: int, n_max: int) -> SuiteReport:
             total += fixed_schedule_rate(
                 net.subnetwork(keep), derive_natural_schedule(sched, keep)
             ).value
-        ok = total >= (n - 1) * full - SETTLED
+        ok = not below(total, (n - 1) * full, SETTLED)
         rep.record(
             f"trial{t:03d}(n={n})",
             ok,
@@ -317,81 +318,53 @@ def _suite_lemma5(trials: int, seed: int, n_max: int) -> SuiteReport:
 def _suite_fig2(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("fig2")
     for n in range(2, 11):
-        net = gen_worst_case(n)
-        cap = hd_capacity(net)
-        ok = abs(cap.value - 1.0) <= AGREE
-        detail = f"C={cap.value}"
-        if ok:
-            best = select_k_exhaustive(net, n - 1)
-            expect = Fraction(n - 1, n)
-            ok = abs(best.fraction - float(expect)) <= AGREE
-            detail = f"C={cap.value}, best drop-one fraction={best.fraction}"
-        rep.record(f"n={n}", ok, f"C=1, fraction={n - 1}/{n}", detail)
+        best = select_k_exhaustive(gen_worst_case(n), n - 1, arithmetic="rational")
+        rep.record(
+            f"n={n}",
+            best.full_value == 1 and best.fraction == Fraction(n - 1, n),
+            f"C=1, fraction={n - 1}/{n}",
+            f"C={best.full_value}, best drop-one fraction={best.fraction}",
+        )
     return rep
 
 
 def _suite_theorem3(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("theorem3")
-    best1_seen: list[float] = []
-    best2_seen: list[float] = []
+    best1_seen: list[Fraction] = []
+    best2_seen: list[Fraction] = []
     for t in range(1, 6):
         n = 4 * t - 2
         net = gen_worst_case(n)
+        b1, b2 = (select_k_exhaustive(net, k, arithmetic="rational") for k in (1, 2))
         expect1 = Fraction(t, 4 * t - 2)
         expect2 = Fraction(t, 2 * t - 1)
-        if n <= 10:
-            cap = hd_capacity(net)
-            full_ok = abs(cap.value - 1.0) <= AGREE
-            b1 = select_k_exhaustive(net, 1)
-            b2 = select_k_exhaustive(net, 2)
-            f1, f2 = b1.fraction, b2.fraction
-            ok = (
-                full_ok
-                and abs(f1 - float(expect1)) <= AGREE
-                and abs(f2 - float(expect2)) <= AGREE
-            )
-            how = "lp"
-        else:
-            # Past the comfortable LP range: pin the full value by the
-            # exact-arithmetic sandwich (two-phase rate = FD bound = 1) and
-            # the best subnetworks by exact small solves.
-            lower = fixed_schedule_rate(net, gen_two_phase_schedule(n)).value
-            upper = fd_capacity_fast(net)
-            full_ok = lower == 1 == upper
-            singles = [
-                single_relay_capacity(net.uplinks[i], net.downlinks[i])
-                for i in range(n)
-            ]
-            f1 = max(singles)
-            f2 = max(
-                hd_capacity(net.subnetwork((i, j)), "rational").value
-                for i in range(1, n + 1)
-                for j in range(i + 1, n + 1)
-            )
-            ok = full_ok and f1 == expect1 and f2 == expect2
-            how = "exact sandwich"
-        best1_seen.append(float(f1))
-        best2_seen.append(float(f2))
+        best1_seen.append(b1.fraction)
+        best2_seen.append(b2.fraction)
         rep.record(
-            f"t={t}(n={n},{how})",
-            ok,
+            f"t={t}(n={n})",
+            b1.full_value == b2.full_value == 1
+            and b1.fraction == expect1
+            and b2.fraction == expect2,
             f"full=1, best1={expect1}, best2={expect2}",
-            f"best1={f1}, best2={f2}",
+            f"full={b1.full_value}, best1={b1.fraction}, best2={b2.fraction}",
         )
     # The family is built to make small subsets progressively weaker: the
     # best-single fraction decreases toward 1/4 and the best-pair fraction
     # toward 1/2, both from above, as the network grows.
-    falling1 = all(a >= b - ROUNDOFF for a, b in zip(best1_seen, best1_seen[1:]))
-    falling2 = all(a >= b - ROUNDOFF for a, b in zip(best2_seen, best2_seen[1:]))
-    above = all(f > 0.25 - ROUNDOFF for f in best1_seen) and all(
-        f > 0.5 - ROUNDOFF for f in best2_seen
+    falling1 = all(a >= b for a, b in zip(best1_seen, best1_seen[1:]))
+    falling2 = all(a >= b for a, b in zip(best2_seen, best2_seen[1:]))
+    above = all(f > Fraction(1, 4) for f in best1_seen) and all(
+        f > Fraction(1, 2) for f in best2_seen
     )
-    near = abs(best1_seen[-1] - 0.25) < 0.05 and abs(best2_seen[-1] - 0.5) < 0.1
+    near = (
+        abs(best1_seen[-1] - Fraction(1, 4)) < Fraction(1, 20)
+        and abs(best2_seen[-1] - Fraction(1, 2)) < Fraction(1, 10)
+    )
     rep.record(
         "monotone-limits",
         falling1 and falling2 and above and near,
         "fractions decrease toward the 1/4 and 1/2 floors",
-        f"best1={best1_seen}, best2={best2_seen}",
+        f"best1=[{', '.join(map(str, best1_seen))}], best2=[{', '.join(map(str, best2_seen))}]",
     )
     return rep
 
@@ -409,7 +382,8 @@ def _suite_sparsify(trials: int, seed: int, n_max: int) -> SuiteReport:
             rep.record(f"trial{t:03d}(n={n})", False, "sparse schedule found", "None")
             continue
         rate = fixed_schedule_rate(net, sched).value
-        ok = len(sched.support) <= n + 1 and abs(rate - cap) <= SETTLED
+        near = not (below(rate, cap, SETTLED) or below(cap, rate, SETTLED))
+        ok = len(sched.support) <= n + 1 and near
         rep.record(
             f"trial{t:03d}(n={n})",
             ok,
@@ -434,7 +408,7 @@ def _suite_edge_delta(trials: int, seed: int, n_max: int) -> SuiteReport:
             keep = invert_mask(1 << (i - 1), n)
             sub_cap = hd_capacity(net.subnetwork(keep), seeds=subnetwork_seeds(full, keep)).value
             delta = min(net.uplinks[i - 1], net.downlinks[i - 1])
-            if sub_cap < cap - delta - SETTLED:
+            if below(sub_cap, cap - delta, SETTLED):
                 ok = False
                 detail = f"drop {i}: {sub_cap} < {cap} - {delta}"
                 break
@@ -455,16 +429,28 @@ SUITES = {
 }
 
 
+#: Suites that draw a schedule over, or solve over, all ``2^n`` states.
+_EXPONENTIAL = frozenset({"partition", "lemma5", "guarantees", "sparsify", "edge-delta"})
+
+
 def run_suite(suite: str, trials: int = 100, seed: int = 0, n_max: int = 5) -> SuiteReport:
     """Run one named suite and return its report (with wall time filled).
 
-    ``trials`` below 1 raises ``ValueError`` for every suite, also for the
-    ones that run fixed instances and ignore it."""
+    ``trials`` below 1 or a negative ``seed`` raises ``ValueError`` for
+    every suite, also for the ones that run fixed instances and ignore
+    them.  The ``_EXPONENTIAL`` suites refuse an ``n_max`` past the LP
+    guard with ``GuardExceeded`` before their first instance."""
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; have {sorted(SUITES)}")
     if trials < 1:
         # A suite with no instances has no failures and would pass vacuously.
-        raise ValueError(f"trials must be at least 1, not {trials}")
+        raise ValueError(f"bad --trials {trials}, want at least 1")
+    if seed < 0:
+        raise ValueError(f"bad --seed {seed}, want at least 0")
+    if suite in _EXPONENTIAL:
+        guard = _effective_guard(None)
+        if n_max > guard:
+            raise GuardExceeded(f"suite {suite} with n_max {n_max} exceeds the LP guard {guard}")
     start = time.perf_counter()
     rep = SUITES[suite](trials, seed, n_max)
     rep.seconds = time.perf_counter() - start

@@ -279,6 +279,13 @@ class TestGenerate:
         data = json.loads(out)
         assert all(1.5 <= v < 2.5 for v in data["l"] + data["r"])
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "generate", "--family", "random", "--n", "3", "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
 
 class TestVerify:
     def test_suite_runs_green(self, capsys):
@@ -313,6 +320,30 @@ class TestVerify:
             assert code == 2
             assert out == ""
             assert err.startswith(f"error: bad --trials {trials}")
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "partition", "--trials", "2", "--seed", "-1"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad --seed -1")
+
+    @pytest.mark.parametrize(
+        "suite", ["partition", "lemma5", "guarantees", "sparsify", "edge-delta"]
+    )
+    def test_n_max_past_the_lp_guard_exits_3(self, capsys, monkeypatch, suite):
+        # These suites work over all 2^n states: refuse before the first net.
+        import hddiamond.verify
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a network was drawn before the size guard")
+
+        monkeypatch.setattr(hddiamond.verify, "_random_net", refuse)
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--trials", "2", "--n-max", "40"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith(f"guard: suite {suite} with n_max 40")
 
     def test_seeded_reports_match(self, capsys):
         args = ("verify", "--suite", "partition", "--trials", "4", "--seed", "3")

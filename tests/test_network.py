@@ -227,6 +227,11 @@ class TestGenerators:
         c = gen_random(5, seed=43)
         assert a.uplinks != c.uplinks
 
+    def test_gen_random_rejects_a_bad_seed(self):
+        for seed in (-1, 1.5, "3", None, True):
+            with pytest.raises(NetworkFormatError):
+                gen_random(3, seed=seed)
+
     def test_gen_random_range(self):
         net = gen_random(6, seed=0, capacity_range=(1.0, 2.0))
         assert all(1.0 <= v < 2.0 for v in net.uplinks + net.downlinks)

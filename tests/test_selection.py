@@ -9,6 +9,7 @@ import pytest
 from hddiamond import selection
 from hddiamond import (
     STRATEGIES,
+    BoundViolation,
     DiamondNetwork,
     GuardExceeded,
     Schedule,
@@ -25,6 +26,7 @@ from hddiamond import (
     select_k_iterative,
     worst_relay_index,
 )
+from hddiamond._tolerance import SETTLED
 from oracles import cold_exhaustive
 
 
@@ -190,6 +192,32 @@ class TestIterative:
         rep = select_k_iterative(net, 4)
         assert rep.selected == (1, 2, 3, 4)
         assert rep.fraction == pytest.approx(1.0)
+
+    @staticmethod
+    def fall_short(monkeypatch, shortfall):
+        """Make each round's rate ``shortfall`` below its (m-1)/m floor."""
+        real = selection._reuse_round
+
+        def short(net, sched):
+            pos, sub, sub_sched, _ = real(net, sched)
+            rate = selection.fixed_schedule_rate(net, sched).value
+            return pos, sub, sub_sched, F(net.n - 1, net.n) * rate - shortfall
+
+        monkeypatch.setattr(selection, "_reuse_round", short)
+
+    def test_exact_round_floor_is_exact(self, monkeypatch):
+        self.fall_short(monkeypatch, F(1, 10**12))
+        with pytest.raises(BoundViolation):
+            select_k_iterative(gen_worst_case(4), 3, arithmetic="rational")
+
+    def test_float_round_floor_allows_the_settled_slack(self, monkeypatch):
+        net = gen_random(4, seed=0)
+        self.fall_short(monkeypatch, SETTLED / 2)
+        rep = select_k_iterative(net, 3)
+        assert rep.value == 0.75 * rep.full_value - SETTLED / 2
+        self.fall_short(monkeypatch, 2 * SETTLED)
+        with pytest.raises(BoundViolation):
+            select_k_iterative(net, 3)
 
 
 class TestExhaustive:

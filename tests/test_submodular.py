@@ -19,10 +19,21 @@ from hddiamond import (
     max_weight_function,
     threshold_sets,
 )
+from hddiamond._tolerance import AGREE
 
 
 def random_family(rng: random.Random, ground: list, m: int) -> list:
     return [frozenset(x for x in ground if rng.random() < 0.5) for _ in range(m)]
+
+
+def squared(scale):
+    """f(S) = scale * |S|^2: supermodular, so every inequality below fails
+    by a margin proportional to ``scale``."""
+    return lambda s: scale * len(s) ** 2
+
+
+#: A margin far below any float slack, in exact arithmetic.
+TINY = F(1, 10**10)
 
 
 class TestThresholdSets:
@@ -84,6 +95,15 @@ class TestThresholdSumInequality:
             chk = check_threshold_sum_inequality(f, fam)
             assert chk.holds and chk.lhs == chk.rhs
 
+    def test_exact_shortfall_fails(self):
+        chk = check_threshold_sum_inequality(squared(TINY), [{1}, {2}])
+        assert (chk.lhs, chk.rhs, chk.holds) == (2 * TINY, 4 * TINY, False)
+
+    def test_float_compares_within_agree(self):
+        # rhs - lhs = 2 * scale: half the slack holds, twice the slack fails.
+        assert check_threshold_sum_inequality(squared(AGREE / 4), [{1}, {2}]).holds
+        assert not check_threshold_sum_inequality(squared(AGREE), [{1}, {2}]).holds
+
 
 class TestKwiseIntersectionInequality:
     def test_all_k_on_random_families(self):
@@ -113,6 +133,16 @@ class TestKwiseIntersectionInequality:
         )
         assert chk.holds
 
+    def test_exact_shortfall_fails(self):
+        chk = check_kwise_intersection_inequality(squared(TINY), [{1}, {2}], {3}, 0)
+        assert (chk.lhs, chk.rhs, chk.holds) == (5 * TINY, 9 * TINY, False)
+
+    def test_float_compares_within_agree(self):
+        # rhs - lhs = 4 * scale: half the slack holds, twice the slack fails.
+        for scale, holds in ((AGREE / 8, True), (AGREE / 2, False)):
+            chk = check_kwise_intersection_inequality(squared(scale), [{1}, {2}], {3}, 0)
+            assert chk.holds is holds
+
 
 class TestIsSubmodular:
     def test_max_weight_is_submodular(self):
@@ -125,6 +155,17 @@ class TestIsSubmodular:
         s, x, y = chk.witness
         f = lambda t: len(t) ** 2  # noqa: E731
         assert f(s | {x}) + f(s | {y}) < f(s | {x, y}) + f(s)
+
+    def test_exact_shortfall_fails(self):
+        chk = is_submodular(squared(TINY), range(3))
+        assert not chk.holds
+        assert chk.witness == (frozenset(), 0, 1)
+
+    def test_float_compares_within_agree(self):
+        # Every diminishing-returns test falls short by 2 * scale.
+        assert is_submodular(squared(AGREE / 4), range(3)).holds
+        chk = is_submodular(squared(AGREE), range(3))
+        assert not chk.holds and chk.witness == (frozenset(), 0, 1)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -1,12 +1,17 @@
-"""Float slacks live in one table: no loose small literal in the library.
+"""Float slacks live in one table, and one rule applies them.
 
 Every float constant in (0, 1e-6) under ``src/hddiamond`` must be one of
 the three named scales in ``_tolerance.py``, one of the LP engine's own
-named thresholds, or the rate cost model's scan time unit.
+named thresholds, or the rate cost model's scan time unit.  No comparison
+outside ``_tolerance.py`` adds or subtracts a scale itself: scalar checks
+call ``_tolerance.below``, which compares exact values exactly.
 """
 
 import ast
+from fractions import Fraction as F
 from pathlib import Path
+
+from hddiamond._tolerance import AGREE, ROUNDOFF, SETTLED
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hddiamond"
 
@@ -75,6 +80,98 @@ def test_the_scan_sees_a_loose_literal():
 
 
 def test_scales_are_ordered():
-    from hddiamond._tolerance import AGREE, ROUNDOFF, SETTLED
-
     assert 0 < ROUNDOFF < AGREE < SETTLED < 1e-6
+
+
+SCALES = {"ROUNDOFF", "AGREE", "SETTLED"}
+
+#: (module, enclosing functions) -> how many comparisons there may still
+#: add or subtract a scale: float-only array comparisons, which ``below``
+#: does not take.
+SLACK_EXEMPT = {
+    ("capacity", "_sparse_by_search"): 1,
+}
+
+
+def _shifts_by_a_scale(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))):
+        return False
+    return any(
+        (isinstance(side, ast.Name) and side.id in SCALES)
+        or (isinstance(side, ast.Attribute) and side.attr in SCALES)
+        for side in (node.left, node.right)
+    )
+
+
+def slack_comparisons(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing functions, line) of every comparison with an operand that
+    adds or subtracts one of the scales."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(_shifts_by_a_scale(n) for op in operands for n in ast.walk(op)):
+                found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def scan_comparisons() -> dict[tuple[str, str], list[int]]:
+    """Lines of the comparisons that add or subtract a scale, by (module,
+    enclosing functions), outside ``_tolerance.py``."""
+    found: dict[tuple[str, str], list[int]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "_tolerance":
+            for scope, line in slack_comparisons(ast.parse(path.read_text(encoding="utf-8"))):
+                found.setdefault((path.stem, scope), []).append(line)
+    return found
+
+
+def test_no_comparison_applies_a_slack_itself():
+    loose = [
+        f"{module}.py:{lines} ({scope or 'module level'})"
+        for (module, scope), lines in scan_comparisons().items()
+        if len(lines) > SLACK_EXEMPT.get((module, scope), 0)
+    ]
+    assert not loose, "comparisons that bypass _tolerance.below: " + ", ".join(loose)
+
+
+def test_every_slack_exemption_is_still_used():
+    found = scan_comparisons()
+    unused = {key: n for key, n in SLACK_EXEMPT.items() if len(found.get(key, ())) != n}
+    assert not unused, unused
+
+
+def test_the_comparison_scan_sees_a_slack():
+    hits = slack_comparisons(ast.parse(
+        "def f(x, y):\n"
+        "    if x < y - SETTLED or x + tol.AGREE > y or (x - y) * 2 <= ROUNDOFF:\n"
+        "        return below(x, y, SETTLED)\n"
+        "    return x > y + (ROUNDOFF - 1)\n"
+    ))
+    assert hits == [("f", 2), ("f", 2), ("f", 4)]
+
+
+def test_below_compares_exact_values_exactly():
+    from hddiamond._tolerance import below
+
+    assert below(F(1, 2) - F(1, 10**30), F(1, 2), SETTLED)
+    assert below(0, F(1, 10**30), SETTLED)
+    assert not below(F(1, 2), F(1, 2), SETTLED)
+    assert not below(F(1, 2), F(1, 2) - F(1, 10**30), SETTLED)
+
+
+def test_below_keeps_the_float_slack():
+    from hddiamond._tolerance import below
+
+    assert not below(0.5 - SETTLED / 2, 0.5, SETTLED)
+    assert below(0.5 - 2 * SETTLED, 0.5, SETTLED)
+    # One float side is enough for the slack.
+    assert not below(F(1, 2) - F(1, 10**30), 0.5, SETTLED)
+    assert not below(0.5, F(1, 2) + F(1, 10**30), SETTLED)

@@ -1,8 +1,11 @@
 """Self-verification suites: every suite green, reproducible reports."""
 
+from dataclasses import replace
+from fractions import Fraction as F
+
 import pytest
 
-from hddiamond import SUITES, SuiteReport, run_suite
+from hddiamond import SUITES, GuardExceeded, SuiteReport, run_suite
 
 FAST = dict(trials=8, seed=0, n_max=4)
 
@@ -29,6 +32,47 @@ def test_no_trials_raises(suite):
     for trials in (0, -3):
         with pytest.raises(ValueError):
             run_suite(suite, trials=trials, seed=0, n_max=4)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_negative_seed_raises(suite):
+    with pytest.raises(ValueError):
+        run_suite(suite, trials=1, seed=-1, n_max=4)
+
+
+def test_n_max_past_the_lp_guard(monkeypatch):
+    import hddiamond.verify
+
+    monkeypatch.setenv("HDDIAMOND_LP_GUARD", "5")
+    # At the guard, and for the suites with no 2^n work, nothing is refused.
+    assert run_suite("lemma5", trials=1, seed=0, n_max=5).ok
+    assert run_suite("lemma3", trials=1, seed=0, n_max=40).ok
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was drawn before the size guard")
+
+    monkeypatch.setattr(hddiamond.verify, "_random_net", refuse)
+    for suite in ("partition", "lemma5", "guarantees", "sparsify", "edge-delta"):
+        with pytest.raises(GuardExceeded):
+            run_suite(suite, trials=1, seed=0, n_max=6)
+
+
+def test_closed_forms_compare_exactly(monkeypatch):
+    import hddiamond.verify
+
+    real = hddiamond.verify.select_k_exhaustive
+
+    def nudged(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return replace(rep, fraction=rep.fraction - F(1, 10**12))
+
+    monkeypatch.setattr(hddiamond.verify, "select_k_exhaustive", nudged)
+    fig2 = run_suite("fig2", trials=1)
+    assert len(fig2.failures) == fig2.instances == 9
+    theorem3 = run_suite("theorem3", trials=1)
+    assert [f["instance"] for f in theorem3.failures] == [
+        f"t={t}(n={4 * t - 2})" for t in range(1, 6)
+    ]
 
 
 def test_reports_reproducible():
