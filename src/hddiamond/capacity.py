@@ -374,9 +374,13 @@ def _cut_rate(
 
 def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     """Full-duplex cut-set capacity: min over cuts A of (best uplink in A +
-    best downlink outside A).  Enumerates all ``2**n`` cuts; use
+    best downlink outside A).  Enumerates all ``2**n`` cuts, so past the
+    relay guard of :func:`hd_capacity` it raises :class:`GuardExceeded`; use
     :func:`fd_capacity_fast` for large networks.
     """
+    g = _effective_guard(None)
+    if net.n > g:
+        raise GuardExceeded(f"fd_capacity on {net.n} relays exceeds guard {g}")
     exact = _net_is_exact(net)
     maxl, maxr = _tables(net, exact)
     vals = maxl + maxr[::-1]
@@ -566,8 +570,9 @@ def hd_capacity(
     the final cut mixture (the ceiling).  When the two are further apart
     than :func:`_escalate_gap`, or the float rounds raise
     :class:`SolverFailure` otherwise (wide magnitude spreads can do both),
-    the game is solved again in exact arithmetic on the float links, and
-    that result is returned in float.
+    or cannot run at all (a link too large for a float), the game is solved
+    again in exact arithmetic on the links as given, and that result is
+    returned in float.
 
     Rational mode first solves the game in float on the float values of the
     links, then runs the exact rounds from that solve's final support (its
@@ -594,16 +599,14 @@ def hd_capacity(
     if n > g:
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
     states, cuts = (_checked_masks(masks, n) for masks in seeds)
-    if not exact:
-        try:
-            return _solve(net, False, states, cuts)[0]
-        except SolverFailure:
-            return _as_float(_solve(net, True)[0])
     try:
-        _, states, cuts = _solve(net, False, states, cuts)
+        res, states, cuts = _solve(net, False, states, cuts)
+        if not exact:
+            return res
     except (OverflowError, SolverFailure):
         states, cuts = (), ()
-    return _solve(net, True, states, cuts)[0]
+    res = _solve(net, True, states, cuts)[0]
+    return res if exact else _as_float(res)
 
 
 def _checked_masks(masks: Iterable[int], n: int) -> tuple[int, ...]:

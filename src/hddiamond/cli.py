@@ -291,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except NetworkFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: a link is too large for a float ({exc}); use --exact", file=sys.stderr)
+        return 2
     except GuardExceeded as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3

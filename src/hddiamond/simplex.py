@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -90,23 +91,31 @@ def _pivot(t: np.ndarray, obj: np.ndarray | None, basis: list[int], row: int, co
     basis[row] = col
 
 
-def _lexico_less(t: np.ndarray, i: int, ai, j: int, aj, tie) -> bool:
-    """Is row i's ratio vector lexicographically below row j's?
+def _leaving_row(t: np.ndarray, col: int, exact: bool) -> int:
+    """The lexicographic minimum-ratio row for entering column ``col``; -1
+    when no entry ``a > eps`` can pivot (the LP is unbounded).
 
-    Compares ``t[i] / ai`` against ``t[j] / aj`` entry by entry, rhs first
-    then left to right.  The columns of the initial basis are among those
-    scanned, so two distinct rows can never tie exactly (that would make
-    the basis inverse singular).
+    Keep the rows of least ``rhs / a`` (float reads an rhs within
+    ``_EPS_ZERO_RHS`` of 0 as 0), then narrow them by ``t[:, k] / a``, rhs
+    first then left to right, each within the tie width.  Exact rows never
+    tie throughout, as the initial basis columns are scanned too; a float
+    full tie takes the lowest index.
     """
-    ncols = t.shape[1]
-    order = [ncols - 1] + list(range(ncols - 1))
-    for k in order:
-        d = t[i, k] / ai - t[j, k] / aj
-        if d < -tie:
-            return True
-        if d > tie:
-            return False
-    return False
+    _, eps_piv, _, tie = _TOL[exact]
+    a = t[:, col]
+    rows = (a > eps_piv).nonzero()[0]
+    if rows.size == 0:
+        return -1
+    rhs = t[:, -1]
+    if not exact:
+        rhs = rhs.copy()
+        rhs[np.abs(rhs) < _EPS_ZERO_RHS] = 0.0
+    for column in chain([rhs, t[:, -1]], t.T[:-1]):
+        ratio = column[rows] / a[rows]
+        rows = rows[ratio <= ratio[ratio.argmin()] + tie]
+        if rows.size == 1:
+            break
+    return int(rows[0])
 
 
 def _refactor(
@@ -233,7 +242,7 @@ def _iterate(
     this.
     """
     exact = t.dtype == object
-    eps_rc, eps_piv, eps_feas, tie = _TOL[exact]
+    eps_rc, _, eps_feas, _ = _TOL[exact]
     ncols = t.shape[1] - 1
     refreshes = 0
     since_refactor = 0
@@ -261,20 +270,7 @@ def _iterate(
                 raise SolverFailure("reduced costs will not settle")
             col = j
 
-        row = -1
-        best = None
-        best_a = None
-        for i in range(t.shape[0]):
-            a = t[i, col]
-            if a > eps_piv:
-                num = t[i, -1]
-                if not exact and -_EPS_ZERO_RHS < num < _EPS_ZERO_RHS:
-                    num = 0.0  # degenerate to tolerance: noise must not set the step
-                ratio = num / a
-                if best is None or ratio < best - tie:
-                    best, row, best_a = ratio, i, a
-                elif ratio <= best + tie and _lexico_less(t, i, a, row, best_a, tie):
-                    best, row, best_a = ratio, i, a
+        row = _leaving_row(t, col, exact)
         if row < 0:
             return "unbounded"
 

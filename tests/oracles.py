@@ -8,6 +8,8 @@
   its value from that mixture by a scan over every state.
 * :func:`cold_exhaustive` is exhaustive selection as a plain loop: every
   size-k subnetwork solved from scratch, none skipped.
+* :func:`pairwise_leaving_row` is the simplex's leaving-row choice as a
+  per-row scan that breaks near-ties between two rows at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from hddiamond.capacity import (
     _unit_scaled,
 )
 from hddiamond.selection import _ratio
+from hddiamond.simplex import _EPS_ZERO_RHS, _TOL
 
 _DUAL_GUARD = 10  # dual_capacity materializes a dense (cuts x states) matrix
 
@@ -129,3 +132,36 @@ def cold_exhaustive(net: DiamondNetwork, k: int, arithmetic: str = "float") -> S
         fraction=_ratio(value, full),
         bound=guarantee_bound("exhaustive", net.n, k),
     )
+
+
+def pairwise_leaving_row(t: np.ndarray, col: int, exact: bool) -> int:
+    """The simplex's leaving row as the row scan that preceded
+    :func:`hddiamond.simplex._leaving_row`: a row of clearly smaller ratio
+    replaces the incumbent, and one within the tie width replaces it if its
+    ratio vector ``t[i] / a`` (rhs first, then left to right) is
+    lexicographically smaller.  The two agree in exact arithmetic and on
+    float ties that are exact; on chains of near-ties they can differ."""
+    _, eps_piv, _, tie = _TOL[exact]
+
+    def lexico_less(i, ai, j, aj) -> bool:
+        for k in range(-1, t.shape[1] - 1):
+            d = t[i, k] / ai - t[j, k] / aj
+            if d < -tie:
+                return True
+            if d > tie:
+                return False
+        return False
+
+    row, best, best_a = -1, None, None
+    for i in range(t.shape[0]):
+        a = t[i, col]
+        if a > eps_piv:
+            num = t[i, -1]
+            if not exact and abs(num) < _EPS_ZERO_RHS:
+                num = 0.0
+            ratio = num / a
+            if best is None or ratio < best - tie:
+                best, row, best_a = ratio, i, a
+            elif ratio <= best + tie and lexico_less(i, a, row, best_a):
+                best, row, best_a = ratio, i, a
+    return row

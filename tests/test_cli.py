@@ -26,6 +26,14 @@ def worst4(tmp_path, capsys):
     return str(path)
 
 
+@pytest.fixture
+def oversized(tmp_path):
+    """Two relays with a link too large for a float on each side."""
+    path = tmp_path / "oversized.json"
+    path.write_text(json.dumps({"l": [10**400, 1], "r": [1, 10**400]}))
+    return str(path)
+
+
 class TestCapacity:
     def test_hd_json_shape(self, capsys, worst4):
         code, out, _ = run(capsys, "capacity", "--network", worst4)
@@ -140,8 +148,50 @@ class TestCapacity:
         assert code == 3
         assert "guard:" in err
 
+    def test_fd_mode_guard_exits_3(self, capsys, tmp_path, monkeypatch):
+        # The dense FD scan builds two 2^n tables: refuse before building one.
+        from hddiamond import capacity
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built past the size guard")
+
+        path = tmp_path / "big.json"
+        run(capsys, "generate", "--family", "random", "--n", "17", "-o", str(path))
+        monkeypatch.setattr(capacity, "_tables", refuse)
+        code, out, err = run(capsys, "capacity", "--network", str(path), "--mode", "fd")
+        assert (code, out) == (3, "")
+        assert err.startswith("guard: fd_capacity on 17 relays exceeds guard 16")
+
+    def test_oversized_link_escalates_to_exact(self, capsys, oversized):
+        # float(10**400) overflows, so float mode solves the game exactly.
+        code, out, _ = run(capsys, "capacity", "--network", oversized)
+        assert code == 0
+        assert json.loads(out)["value"] == 2.0
+        code, out, _ = run(capsys, "capacity", "--network", oversized, "--exact")
+        assert code == 0
+        assert F(json.loads(out)["value"]) == F(2 * 10**400, 10**400 + 1)
+
 
 class TestSelect:
+    @pytest.mark.parametrize("strategy", ["exhaustive", "worst-drop"])
+    def test_oversized_link_capacity_strategies(self, capsys, oversized, strategy):
+        code, out, _ = run(
+            capsys, "select", "--network", oversized, "-k", "1", "--strategy", strategy
+        )
+        assert code == 0
+        assert json.loads(out)["fraction"] == 0.5
+
+    @pytest.mark.parametrize("strategy", ["iterative", "schedule-reuse"])
+    def test_oversized_link_rate_strategies(self, capsys, oversized, strategy):
+        # Their fixed-schedule rates have no exact fallback in float mode.
+        argv = ("select", "--network", oversized, "-k", "1", "--strategy", strategy)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "--exact" in err
+        code, out, _ = run(capsys, *argv, "--exact")
+        assert code == 0
+        assert F(json.loads(out)["full_value"]) == F(2 * 10**400, 10**400 + 1)
+
     def test_exhaustive_single_relay_report(self, capsys, tmp_path):
         path = tmp_path / "two.json"
         path.write_text('{"l": [1, "2/5"], "r": [0.5, "14/5"]}')

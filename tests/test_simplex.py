@@ -358,3 +358,67 @@ class TestWarmStart:
         for basis in ((0,), (0, 1, 2), (0, 5)):
             with pytest.raises(ValueError):
                 solve_lp([-1, -1], [[1, 1], [1, 0]], [4, 2], basis=basis)
+
+
+def _degenerate_tableau(rng):
+    """A small tableau (last column the rhs >= 0) full of ratio ties, as
+    integer entries: rows repeated at power-of-two scales, some changed in
+    one entry at a random depth of the lexicographic order, zero rhs
+    entries, and an entering column with some entries not positive.
+    Returns the integer array and the entering column."""
+    import numpy as np
+
+    m, ncols = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    t = rng.integers(-3, 4, (m, ncols + 1))
+    t[:, -1] = np.abs(t[:, -1])
+    t[rng.random(m) < 0.4, -1] = 0
+    col = int(rng.integers(ncols))
+    t[:, col] = rng.choice([-1, 0, 1, 2, 4], m, p=[0.15, 0.15, 0.3, 0.2, 0.2])
+    for _ in range(int(rng.integers(1, m + 1))):
+        i, j = (int(v) for v in rng.choice(m, 2, replace=False))
+        t[j] = t[i] * int(rng.choice([1, 2, 4]))
+        k = int(rng.integers(-1, ncols + 1))  # ncols: leave the copy whole
+        if k < ncols and k != col:
+            t[j, k] += int(rng.choice([-1, 1]))
+            t[j, -1] = abs(t[j, -1])
+    return t, col
+
+
+class TestLeavingRow:
+    """The one-step leaving-row rule against the pairwise row scan it
+    replaced (``oracles.pairwise_leaving_row``) and, in exact arithmetic,
+    against the brute-force lexicographic minimum of the ratio vectors."""
+
+    def test_matches_pairwise_scan_and_brute_force(self):
+        from math import inf
+
+        import numpy as np
+
+        from hddiamond.simplex import _leaving_row
+        from oracles import pairwise_leaving_row
+
+        rng = np.random.default_rng(7)
+        depths = []
+        for trial in range(400):
+            nums, col = _degenerate_tableau(rng)
+            exact = np.vectorize(F, otypes=[object])(nums)
+            a = exact[:, col]
+            eligible = [i for i in range(len(a)) if a[i] > 0]
+            key = lambda i: (exact[i, -1] / a[i], *(exact[i, k] / a[i] for k in range(nums.shape[1] - 1)))
+            want = min(eligible, key=key) if eligible else -1
+            assert _leaving_row(exact, col, True) == want, trial
+            assert pairwise_leaving_row(exact, col, True) == want, trial
+            # Powers of two as pivots keep every float ratio exact, so the
+            # float rule sees the same ties and must pick the same row.
+            floats = nums.astype(float)
+            assert _leaving_row(floats, col, False) == want, trial
+            assert pairwise_leaving_row(floats, col, False) == want, trial
+            # How many leading entries of its ratio vector the winner shares
+            # with the closest other eligible row (-1: none eligible, inf:
+            # all of them, a full tie that the lowest index breaks).
+            shared = lambda i: next((d for d, (x, y) in enumerate(zip(key(want), key(i))) if x != y), inf)
+            depths.append(max((shared(i) for i in eligible if i != want), default=0) if eligible else -1)
+        assert depths.count(-1) >= 10  # unbounded columns
+        assert sum(d >= 1 for d in depths) >= 100  # ratio ties
+        assert sum(d >= 3 for d in depths) >= 50  # ties running several columns deep
+        assert depths.count(inf) >= 20  # full ties
