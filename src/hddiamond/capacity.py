@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -63,8 +64,6 @@ from .simplex import solve_lp
 __all__ = [
     "CapacityResult",
     "RateValue",
-    "DEFAULT_LP_GUARD",
-    "LP_GUARD_ENV",
     "cut_state_value",
     "fixed_schedule_rate",
     "fd_capacity",
@@ -75,7 +74,7 @@ __all__ = [
     "subnetwork_seeds",
 ]
 
-#: Largest relay count hd_capacity accepts unless overridden.
+#: Largest relay count of a ``2^n`` scan unless HDDIAMOND_LP_GUARD sets another.
 DEFAULT_LP_GUARD = 16
 LP_GUARD_ENV = "HDDIAMOND_LP_GUARD"
 
@@ -113,16 +112,13 @@ class RateValue:
 # Guards and arithmetic selection
 # ---------------------------------------------------------------------------
 
-def _effective_guard(guard: int | None) -> int:
-    if guard is not None:
-        return guard
-    env = os.environ.get(LP_GUARD_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise GuardExceeded(f"bad {LP_GUARD_ENV} value {env!r}") from None
-    return DEFAULT_LP_GUARD
+def _effective_guard() -> int:
+    """The relay guard: 16, or a positive integer from HDDIAMOND_LP_GUARD."""
+    env = os.environ.get(LP_GUARD_ENV, str(DEFAULT_LP_GUARD))
+    with suppress(ValueError):
+        if (g := int(env)) >= 1:
+            return g
+    raise GuardExceeded(f"bad {LP_GUARD_ENV} value {env!r}")
 
 
 def _check_arithmetic(arithmetic: str) -> bool:
@@ -152,6 +148,12 @@ def _scalar(v: LinkValue, exact: bool) -> LinkValue:
     if not exact:
         return float(v)
     return UNBOUNDED if is_unbounded(v) else Fraction(v)
+
+
+def _exact_links(net: DiamondNetwork) -> DiamondNetwork:
+    """``net`` with every finite link as an exact ``Fraction``, name and labels kept."""
+    exact = lambda vals: tuple(_scalar(v, True) for v in vals)
+    return replace(net, uplinks=exact(net.uplinks), downlinks=exact(net.downlinks))
 
 
 def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -378,7 +380,7 @@ def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     relay guard of :func:`hd_capacity` it raises :class:`GuardExceeded`; use
     :func:`fd_capacity_fast` for large networks.
     """
-    g = _effective_guard(None)
+    g = _effective_guard()
     if net.n > g:
         raise GuardExceeded(f"fd_capacity on {net.n} relays exceeds guard {g}")
     exact = _net_is_exact(net)
@@ -550,7 +552,6 @@ def hd_capacity(
     net: DiamondNetwork,
     arithmetic: str = "float",
     *,
-    guard: int | None = None,
     seeds: tuple[Iterable[int], Iterable[int]] = ((), ()),
 ) -> CapacityResult:
     """Half-duplex approximate capacity, optimal schedule, and tight cuts.
@@ -590,12 +591,12 @@ def hd_capacity(
     not depend on them.  The exact rounds of a float escalation start
     unseeded.  A mask outside ``[0, 2**n)`` raises ``ValueError``.
 
-    ``guard`` caps the relay count (default 16, or the HDDIAMOND_LP_GUARD
+    The relay guard caps the relay count (16, or the HDDIAMOND_LP_GUARD
     environment variable); past it, raise instead of grinding.
     """
     exact = _check_arithmetic(arithmetic)
     n = net.n
-    g = _effective_guard(guard)
+    g = _effective_guard()
     if n > g:
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
     states, cuts = (_checked_masks(masks, n) for masks in seeds)

@@ -31,7 +31,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .capacity import _scalar, fd_capacity, hd_capacity
+from .capacity import _exact_links, fd_capacity, hd_capacity
 from .errors import BoundViolation, GuardExceeded, NetworkFormatError, SolverFailure
 from .network import (
     UNBOUNDED,
@@ -105,13 +105,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     if args.mode == "hd":
         res = hd_capacity(net, "rational" if args.exact else "float")
     else:
-        if args.exact:
-            net = DiamondNetwork(
-                tuple(_scalar(v, True) for v in net.uplinks),
-                tuple(_scalar(v, True) for v in net.downlinks),
-                name=net.name,
-            )
-        res = fd_capacity(net)
+        res = fd_capacity(_exact_links(net) if args.exact else net)
     out = {
         "value": value_to_json(res.value),
         "mode": args.mode,

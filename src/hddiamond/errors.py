@@ -16,7 +16,8 @@ class GuardExceeded(RuntimeError):
     """An operation was asked to run past its configured size guard.
 
     Exponential-cost routines refuse rather than silently grinding; callers
-    that really want a bigger instance pass an explicit guard override.
+    that really want a bigger instance raise the relay guard with the
+    ``HDDIAMOND_LP_GUARD`` environment variable.
     """
 
 

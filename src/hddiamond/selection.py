@@ -37,6 +37,8 @@ from typing import Iterable, Sequence
 from ._tolerance import AGREE, SETTLED, below
 from .capacity import (
     CapacityResult,
+    _effective_guard,
+    _exact_links,
     _float_tol,
     _net_is_exact,
     fd_capacity_fast,
@@ -68,9 +70,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("worst-drop", "schedule-reuse", "iterative", "exhaustive")
-
-#: Largest relay count select_k_exhaustive accepts for k > 2.
-_EXHAUSTIVE_GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -263,11 +262,13 @@ def select_k_iterative(
 
     Round m -> m-1 keeps at least (m-1)/m of the current certified rate
     (checked, BoundViolation if numerically breached), so the final rate
-    keeps at least k/n of the starting full-network rate.
+    keeps at least k/n of the starting full-network rate (exact in rational mode).
     """
     n = net.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    if arithmetic == "rational":
+        net = _exact_links(net)
     sched = schedule if schedule is not None else hd_capacity(net, arithmetic).optimal_schedule
     full_rate = fixed_schedule_rate(net, sched).value
 
@@ -331,9 +332,10 @@ def select_k_exhaustive(
     arithmetic: str = "float",
 ) -> SelectionReport:
     """Solve every size-k subnetwork and keep the best (ties: smallest
-    relay set).  Guarded: allowed when n <= 10 or k <= 2 (where the
-    number of subnetworks stays trivial even for larger n).  The guard is
-    checked before anything is solved.
+    relay set).  Guarded on estimated work, before anything is solved: for
+    ``k < n`` the subnetworks' ``C(n, k) * 2^k`` scan cells may not exceed
+    the ``2^g`` of one scan at the relay guard g (16, or HDDIAMOND_LP_GUARD).
+    At ``k == n`` only the full solve's guard applies.
 
     Each subnetwork solve is seeded from the full network's solve (see
     :func:`subnetwork_seeds`), and a subnetwork whose FD value is below the
@@ -343,10 +345,11 @@ def select_k_exhaustive(
     n = net.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
-    if n > _EXHAUSTIVE_GUARD and k > 2:
+    g, cells = _effective_guard(), math.comb(n, k) << k
+    if k < n and cells > 1 << g:
         raise GuardExceeded(
-            f"select_k_exhaustive on {n} relays with k={k} "
-            f"exceeds guard {_EXHAUSTIVE_GUARD}"
+            f"select_k_exhaustive on {n} relays with k={k} exceeds guard {g}: "
+            f"C({n},{k})*2^{k} = {cells} subnetwork cells > 2^{g}"
         )
     full_value, full = _certified_capacity(net, arithmetic)
     best_value: LinkValue | None = full_value

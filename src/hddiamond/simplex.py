@@ -41,6 +41,7 @@ import numpy as np
 from .errors import SolverFailure
 
 __all__ = ["LPResult", "solve_lp"]
+_MAX_PIVOTS = 500_000  # pivots one solve may take before SolverFailure
 
 @dataclass(frozen=True)
 class LPResult:
@@ -296,7 +297,6 @@ def solve_lp(
     b_ub: Sequence,
     *,
     exact: bool = False,
-    max_pivots: int = 500_000,
     basis: Sequence[int] | None = None,
 ) -> LPResult:
     """Minimize ``c.x`` over ``A_ub x <= b_ub``, ``x >= 0``, for ``b_ub >= 0``.
@@ -348,7 +348,7 @@ def solve_lp(
     # priced out against the all-slack basis.
     cost = np.full(ncols + 1, zero, dtype=dtype)
     cost[:nv] = _values(c, exact)
-    budget = [max_pivots]
+    budget = [_MAX_PIVOTS]
 
     status = None
     if basis is not None:

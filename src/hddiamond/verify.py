@@ -448,7 +448,7 @@ def run_suite(suite: str, trials: int = 100, seed: int = 0, n_max: int = 5) -> S
     if seed < 0:
         raise ValueError(f"bad --seed {seed}, want at least 0")
     if suite in _EXPONENTIAL:
-        guard = _effective_guard(None)
+        guard = _effective_guard()
         if n_max > guard:
             raise GuardExceeded(f"suite {suite} with n_max {n_max} exceeds the LP guard {guard}")
     start = time.perf_counter()

@@ -375,23 +375,27 @@ class TestHalfDuplex:
             approx = hd_capacity(net, "float").value
             assert approx == pytest.approx(float(exact), abs=1e-6)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         big = gen_random(17, seed=0)
         with pytest.raises(GuardExceeded):
             hd_capacity(big)
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "2")
         with pytest.raises(GuardExceeded):
-            hd_capacity(gen_random(3, seed=0), guard=2)
-        # explicit guard raise lets it through
-        res = hd_capacity(gen_random(3, seed=0), guard=3)
+            hd_capacity(gen_random(3, seed=0))
+        # raising the guard to the relay count lets it through
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "3")
+        res = hd_capacity(gen_random(3, seed=0))
         assert res.value > 0
 
     def test_guard_env_var(self, monkeypatch):
         monkeypatch.setenv("HDDIAMOND_LP_GUARD", "2")
         with pytest.raises(GuardExceeded):
             hd_capacity(gen_random(3, seed=0))
-        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "nonsense")
-        with pytest.raises(GuardExceeded):
-            hd_capacity(gen_random(3, seed=0))
+        # A guard must be a positive integer.
+        for bad in ("nonsense", "0", "-3"):
+            monkeypatch.setenv("HDDIAMOND_LP_GUARD", bad)
+            with pytest.raises(GuardExceeded, match=f"^bad HDDIAMOND_LP_GUARD value '{bad}'$"):
+                hd_capacity(gen_random(3, seed=0))
 
 
 class TestUnboundedLinks:

@@ -192,6 +192,22 @@ class TestSelect:
         assert code == 0
         assert F(json.loads(out)["full_value"]) == F(2 * 10**400, 10**400 + 1)
 
+    def test_exact_iterative_on_float_links(self, capsys, tmp_path):
+        # Rational mode rates the float links' exact values, so the rate is
+        # an exact p/q string, as exhaustive and worst-drop report.
+        path = tmp_path / "floats.json"
+        path.write_text('{"l": [0.3, 1.7, 2.2], "r": [1.1, 0.4, 2.9]}')
+        argv = ("select", "--network", str(path), "-k", "2", "--strategy", "iterative")
+        code, out, _ = run(capsys, *argv, "--exact")
+        assert code == 0
+        data = json.loads(out)
+        for name in ("value", "full_value", "fraction"):
+            assert isinstance(data[name], str) and "/" in data[name], data
+        _, approx, _ = run(capsys, *argv)
+        approx = json.loads(approx)
+        assert data["selected"] == approx["selected"]
+        assert float(F(data["value"])) == pytest.approx(approx["value"], rel=1e-9)
+
     def test_exhaustive_single_relay_report(self, capsys, tmp_path):
         path = tmp_path / "two.json"
         path.write_text('{"l": [1, "2/5"], "r": [0.5, "14/5"]}')
@@ -452,9 +468,21 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: bad --k 'abc'")
 
+    @pytest.mark.parametrize("family", ["worst-case", "half-tight"])
+    def test_runs_to_twelve_relays(self, capsys, family):
+        code, out, _ = run(capsys, "sweep", "--family", family, "--n-range", "2:12")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(2, 13))
+        for n, c_full, best, frac in rows:
+            n = int(n)
+            want = F(n - 1, n) if family == "worst-case" else F(1, 2) if n == 2 else 1
+            assert (F(c_full), F(best), F(frac)) == (1, want, want)
+
     def test_guard_exits_3(self, capsys):
+        # C(12, 7) * 2^7 = 101376 subnetwork cells, past one 2^16 scan.
         code, _, err = run(
-            capsys, "sweep", "--family", "half-tight", "--n-range", "11:11", "--k", "3"
+            capsys, "sweep", "--family", "half-tight", "--n-range", "12:12", "--k", "7"
         )
         assert code == 3
         assert "guard:" in err
@@ -479,11 +507,15 @@ class TestSweep:
             if hasattr(module, "hd_capacity"):
                 monkeypatch.setattr(module, "hd_capacity", refuse)
         code, out, err = run(
-            capsys, "sweep", "--family", "half-tight", "--n-range", "11:11", "--k", "3"
+            capsys, "sweep", "--family", "half-tight", "--n-range", "12:12", "--k", "7"
         )
         assert code == 3
         assert out == ""
         assert err.startswith("guard: ")
+        # k = n - 1 at 14 relays: 14 * 2^13 = 114688 cells.
+        code, out, err = run(capsys, "sweep", "--family", "worst-case", "--n-range", "14:14")
+        assert (code, out) == (3, "")
+        assert err.startswith("guard: select_k_exhaustive on 14 relays with k=13 ")
 
     def test_pin_past_the_lp_guard(self, capsys):
         # n=18 is past the hd_capacity guard.  The two-phase schedule's rate

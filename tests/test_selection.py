@@ -210,6 +210,23 @@ class TestIterative:
         with pytest.raises(BoundViolation):
             select_k_iterative(gen_worst_case(4), 3, arithmetic="rational")
 
+    def test_rational_rates_float_links_exactly(self):
+        # Rational mode rates the exact values of float links: Fraction
+        # values, the float ones within roundoff, the same relays.
+        nets = [gen_random(4, 0), gen_random(5, 3)]
+        nets.append(DiamondNetwork((0.3, 1.7, 2.2), (1.1, 0.4, 2.9)))
+        for net in nets:
+            for k in range(1, net.n):
+                exact = select_k_iterative(net, k, arithmetic="rational")
+                approx = select_k_iterative(net, k)
+                assert exact.selected == approx.selected
+                for name in ("value", "full_value", "fraction"):
+                    a, b = getattr(exact, name), getattr(approx, name)
+                    assert isinstance(a, F), name
+                    assert float(a) == pytest.approx(b, rel=1e-9), name
+            reuse = select_drop_one_schedule_reuse(net, arithmetic="rational")
+            assert isinstance(reuse.value, F)
+
     def test_float_round_floor_allows_the_settled_slack(self, monkeypatch):
         net = gen_random(4, seed=0)
         self.fall_short(monkeypatch, SETTLED / 2)
@@ -238,11 +255,63 @@ class TestExhaustive:
         assert rep.fraction == F(3, 4)
 
     def test_guard_allows_small_k(self):
-        net = gen_random(11, seed=2)
+        # C(12, 7) * 2^7 = 101376 subnetwork cells, past one 2^16 scan.
         with pytest.raises(GuardExceeded):
-            select_k_exhaustive(net, 3)
-        rep = select_k_exhaustive(net, 2)  # k <= 2 bypasses the relay guard
+            select_k_exhaustive(gen_random(12, seed=2), 7)
+        # C(11, 2) * 2^2 = 220 cells, far below it.
+        rep = select_k_exhaustive(gen_random(11, seed=2), 2)
         assert rep.k == 2
+
+    def test_guard_boundary_under_a_lowered_guard(self, monkeypatch):
+        # A guard of 6 allows 2^6 = 64 subnetwork cells: k=2 of 6 relays
+        # scans C(6, 2) * 2^2 = 60 of them and runs; k=3 scans 160 and is
+        # refused before anything is solved.
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "6")
+        net = gen_random(6, seed=0)
+        assert select_k_exhaustive(net, 2).k == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hd_capacity ran before the size guard")
+
+        with monkeypatch.context() as m:
+            m.setattr(selection, "hd_capacity", refuse)
+            with pytest.raises(
+                GuardExceeded, match=r"^select_k_exhaustive on 6 relays with k=3 "
+            ):
+                select_k_exhaustive(net, 3)
+        # Raising the guard raises exhaustive's limit with it: 160 <= 2^8.
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "8")
+        assert select_k_exhaustive(net, 3).k == 3
+
+    def test_guard_allows_everything_the_relay_count_rule_did(self, monkeypatch):
+        # The earlier rule refused n > 10 with k > 2.  The work rule allows
+        # every such pair with n <= 16, and 30 more.  Only the guard runs
+        # here: the first solve after it is replaced by a marker.
+        class Passed(Exception):
+            pass
+
+        def passed(*args):
+            raise Passed
+
+        monkeypatch.setattr(selection, "_certified_capacity", passed)
+
+        def allowed(n, k):
+            try:
+                select_k_exhaustive(DiamondNetwork((1,) * n, (1,) * n), k)
+            except Passed:
+                return True
+            except GuardExceeded:
+                return False
+
+        pairs = [(n, k) for n in range(1, 17) for k in range(1, n + 1)]
+        assert all(allowed(n, k) for n, k in pairs if n <= 10 or k <= 2)
+        newly = [(n, k) for n, k in pairs if n > 10 and k > 2 and allowed(n, k)]
+        assert len(newly) == 30
+        assert {(11, k) for k in range(3, 12)} <= set(newly)
+        assert {(12, 11), (13, 12), (16, 16)} <= set(newly)
+        assert (14, 13) not in newly  # 14 * 2^13 = 114688 cells
+        # Past the LP guard the pin answers k <= 2, up to the work rule.
+        assert allowed(181, 2) and not allowed(182, 2)
 
     def test_pin_past_the_lp_guard(self, monkeypatch):
         # Past the hd_capacity guard, rational mode on exact links takes the

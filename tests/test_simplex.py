@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hddiamond import SolverFailure, solve_lp
+from hddiamond import SolverFailure, simplex, solve_lp
 
 
 class TestBasics:
@@ -47,9 +47,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             solve_lp([1], [[1]], [1, 2])  # rhs length mismatch
 
-    def test_pivot_budget(self):
+    def test_pivot_budget(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 1)
         with pytest.raises(SolverFailure):
-            solve_lp([-1, -1], [[1, 1], [1, 0], [0, 1]], [4, 2, 3], max_pivots=1)
+            solve_lp([-1, -1], [[1, 1], [1, 0], [0, 1]], [4, 2, 3])
 
 
 class TestDegenerate:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hddiamond import submodular
 from hddiamond import (
     DiamondNetwork,
     GuardExceeded,
@@ -167,10 +168,11 @@ class TestIsSubmodular:
         chk = is_submodular(squared(AGREE), range(3))
         assert not chk.holds and chk.witness == (frozenset(), 0, 1)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(GuardExceeded):
             is_submodular(len, range(13))
-        assert is_submodular(len, range(13), guard=13).holds
+        monkeypatch.setattr(submodular, "_GROUND_GUARD", 13)
+        assert is_submodular(len, range(13)).holds
 
 
 class TestCutCompletion:
