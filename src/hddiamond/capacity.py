@@ -20,9 +20,13 @@ infinite exactly when every cut's FD value is, i.e. when the FD capacity is
 infinite).  ``hd_capacity`` computes the reduced game directly; see its
 docstring for what that means for the reported schedule.
 
-Everything runs in either float64 or exact ``Fraction`` arithmetic through
-the same self-contained simplex engine and the same numpy cut scans (on
-object arrays in exact mode); the game is solved by deterministic
+Everything runs in either float64 or exact arithmetic through the same
+self-contained simplex engine and the same numpy cut scans.  In exact mode
+the scans run on object arrays of Python ints: the links are scaled by the
+lcm of their denominators and a scan's weights are put over one common
+denominator, so a scanned value is an integer over a known scale, and a
+``Fraction`` is built only for a value that is returned or compared with
+one on another scale.  The game is solved by deterministic
 strategy generation (grow small cut/state subsets by exact best-response
 scans), so the full ``2**n x 2**n`` payoff matrix is never materialized.
 Each round's LP starts from the previous round's optimal basis.  Rational
@@ -138,8 +142,9 @@ def _net_is_exact(net: DiamondNetwork) -> bool:
 # ---------------------------------------------------------------------------
 #
 # maxl[m] = max uplink over the relays in mask m (0 for the empty mask), and
-# likewise maxr for downlinks.  Built by doubling, so the whole table costs
-# O(n * 2^n).  Every cut/state payoff is then two table lookups:
+# likewise maxr for downlinks, both times the tables' scale (1 in float).
+# Built by doubling, so the whole table costs O(n * 2^n).  Every cut/state
+# payoff is then two table lookups:
 #     value(A, s) = maxl[A & ~s] + maxr[s & ~A].
 
 def _scalar(v: LinkValue, exact: bool) -> LinkValue:
@@ -156,39 +161,95 @@ def _exact_links(net: DiamondNetwork) -> DiamondNetwork:
     return replace(net, uplinks=exact(net.uplinks), downlinks=exact(net.downlinks))
 
 
-def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(maxl, maxr) as float64 arrays, or as object arrays of ``Fraction`` and
-    ``UNBOUNDED`` when exact.  The dtype carries the arithmetic mode from here
-    on: every scan below is the same numpy code in either mode."""
+class _Absorbing(float):
+    """``UNBOUNDED`` in exact tables: equal to ``math.inf``, but its sum with
+    an int, or its product with a positive int, is itself.  Adding a plain
+    ``math.inf`` would turn the int into a float, which overflows once the
+    integer scale passes about 1.8e308."""
+
+    __slots__ = ()
+
+    def _absorb(self, other):
+        return self
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _absorb
+
+
+_ABSORBING = _Absorbing(UNBOUNDED)
+
+
+def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """(maxl, maxr, scale): the tables hold ``scale`` times the subset
+    maxima.  In float they are float64 arrays and ``scale`` is 1.  When exact
+    they are object arrays of Python ints and ``UNBOUNDED`` (as
+    :class:`_Absorbing`), and ``scale`` is the lcm of the finite links'
+    denominators.  The dtype carries the arithmetic mode from here on: every
+    scan below is the same numpy code in either mode, and a positive scale
+    changes no order and no tie."""
+    if exact:
+        links = net.uplinks + net.downlinks
+        scale = math.lcm(*(Fraction(v).denominator for v in links if not is_unbounded(v)))
+        scaled = lambda v: _ABSORBING if is_unbounded(v) else int(Fraction(v) * scale)
+        zero = np.array([0], dtype=object)
+    else:
+        scale, scaled, zero = 1, float, np.array([0.0])
+
     def build(vals: Sequence[LinkValue]) -> np.ndarray:
-        table = np.array([_scalar(0, exact)])
+        table = zero
         for v in vals:
-            table = np.concatenate([table, np.maximum(table, _scalar(v, exact))])
+            # A 0-d array of the table's dtype: numpy would turn a bare
+            # float scalar, _ABSORBING too, into a plain float64.
+            link = np.array(scaled(v), dtype=table.dtype)
+            table = np.concatenate([table, np.maximum(table, link)])
         return table
 
-    return build(net.uplinks), build(net.downlinks)
+    return build(net.uplinks), build(net.downlinks), scale
 
 
 def _cut_values(
-    n: int, maxl: np.ndarray, maxr: np.ndarray, items: Iterable[tuple[int, LinkValue]]
-) -> np.ndarray:
-    """Scheduled value of every cut mask under the given (state, prob) items.
+    n: int,
+    maxl: np.ndarray,
+    maxr: np.ndarray,
+    scale: int,
+    items: Iterable[tuple[int, LinkValue]],
+) -> tuple[np.ndarray, int]:
+    """Scheduled value of every cut mask under the given (state, prob)
+    items, as ``(values, scale)``: the values are ``scale`` times the
+    scheduled cut values.
 
+    ``scale`` comes in as the tables' own.  On exact tables the weights are
+    put over their common denominator d, so every value is an integer sum
+    and the scale goes out multiplied by d; on float tables it stays 1.
     With the two tables swapped, the same scan gives the value of every
     state under a (cut, prob) mixture, since ``value(A, s) = maxl[A & ~s] +
     maxr[s & ~A]`` is symmetric in that swap.
     """
     size = 1 << n
     cuts = np.arange(size)
-    acc = np.full(size, maxl[0])  # the zero of the tables' arithmetic
-    scalar = maxl.dtype.type  # float64, or the identity on object arrays
-    for s, p in items:
+    if maxl.dtype == object:
+        items = [(s, Fraction(p)) for s, p in items]
+        d = math.lcm(*(p.denominator for _, p in items))
+        items = [(s, p.numerator * (d // p.denominator)) for s, p in items]
+        scale *= d
+    else:
+        items = [(s, np.float64(p)) for s, p in items]
+    acc = np.full(size, maxl[0], dtype=maxl.dtype)  # the tables' zero
+    for s, w in items:
         # In place, so that at most one term array is alive besides acc.
         term = maxl[cuts & (size - 1 - s)]
         term += maxr[s & (size - 1 - cuts)]
-        term *= scalar(p)
+        term *= w
         acc += term
-    return acc
+    return acc, scale
+
+
+def _unscaled(x, scale: int, exact: bool) -> LinkValue:
+    """A scanned value as the library reports it: ``x / scale`` as a
+    ``Fraction`` when exact (``UNBOUNDED`` as it is), a float otherwise
+    (where the scale is 1)."""
+    if not exact:
+        return float(x)
+    return UNBOUNDED if is_unbounded(x) else Fraction(x, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +297,10 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
         raise ValueError(f"schedule is over {sched.n} relays, network has {net.n}")
     exact = _net_is_exact(net) and sched.is_exact
     if _scan_is_cheaper(net.n, len(sched.probs), exact):
-        maxl, maxr = _tables(net, exact)
-        vals = _cut_values(net.n, maxl, maxr, sched.items())
+        maxl, maxr, scale = _tables(net, exact)
+        vals, scale = _cut_values(net.n, maxl, maxr, scale, sched.items())
         cut = int(np.argmin(vals))
-        return RateValue(vals[cut] if exact else float(vals[cut]), cut)
+        return RateValue(_unscaled(vals[cut], scale, exact), cut)
     return _flow_rate(net, sched, exact)
 
 
@@ -247,10 +308,11 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
 # the cheaper rate algorithm.  The scan costs about one unit per cut and
 # state, plus two per cut for the tables and the argmin; the flow about one
 # unit per relay and state (the threshold graph has up to 2nk chain nodes).
-# Fitted on random nets with n = 3..16 and k = 1..n+1 states.  The flow is
-# chosen from n = 13 / 14 / 15 in float and n = 4 / 5 / 6 in exact
-# arithmetic for k = 1 / 2 / n+1.
-_SCAN_UNIT_S = {False: 8e-9, True: 6e-6}
+# Fitted on random nets with n = 3..16 and k = 1..n+1 states; the exact scan
+# unit (Python ints) on random nets with links of denominator <= 100, n =
+# 3..14 and k = 1, 2, n+1.  The flow is chosen from n = 13 / 14 / 15 in float
+# and n = 11 / 12 / 13 in exact arithmetic for k = 1 / 2 / n+1.
+_SCAN_UNIT_S = {False: 8e-9, True: 1.5e-7}
 _FLOW_UNIT_S = {False: 15e-6, True: 60e-6}
 
 
@@ -384,16 +446,16 @@ def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     if net.n > g:
         raise GuardExceeded(f"fd_capacity on {net.n} relays exceeds guard {g}")
     exact = _net_is_exact(net)
-    maxl, maxr = _tables(net, exact)
+    maxl, maxr, scale = _tables(net, exact)
     vals = maxl + maxr[::-1]
-    value = vals.min()
-    if value == UNBOUNDED:
+    low = vals.min()
+    if low == UNBOUNDED:
         tight: tuple[int, ...] = (0,)
     else:
-        tol = 0 if exact else _float_tol(value)
-        tight = tuple(int(a) for a in np.flatnonzero(vals <= value + tol))
+        tol = 0 if exact else _float_tol(low)
+        tight = tuple(int(a) for a in np.flatnonzero(vals <= low + tol))
     return CapacityResult(
-        value=value if exact else float(value),
+        value=_unscaled(low, scale, exact),
         optimal_schedule=None,
         tight_cuts=tight,
         arithmetic="rational" if exact else "float",
@@ -542,10 +604,15 @@ def _clean_weights(masks: Sequence[int], weights: Sequence, exact: bool) -> dict
 
 def _payoff(maxl: np.ndarray, maxr: np.ndarray, cuts, states) -> np.ndarray:
     """The payoff matrix ``value(cut, state)`` over the given cut rows and
-    state columns, gathered from the subset-max tables in one step."""
+    state columns, gathered from the subset-max tables in one step (on the
+    tables' scale)."""
     cuts, states = np.asarray(cuts), np.asarray(states)
     return (maxl[np.bitwise_and.outer(cuts, ~states)]
             + maxr[np.bitwise_and.outer(~cuts, states)])
+
+
+#: ``Fraction(x, scale)`` elementwise over an object array.
+_as_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def hd_capacity(
@@ -669,7 +736,7 @@ def _solve(
     n = net.n
     size = 1 << n
     arith = "rational" if exact else "float"
-    maxl, maxr = _tables(net, exact)
+    maxl, maxr, scale = _tables(net, exact)
     kept = (maxl + maxr[::-1]) != UNBOUNDED
     if not kept.any():
         # Every cut has infinite FD value, so the HD value is infinite too
@@ -712,6 +779,9 @@ def _solve(
         if rounds > 4 * size + 8:
             raise SolverFailure("strategy generation failed to converge")
         matrix = _payoff(maxl, maxr, cut_pool, state_pool)
+        if exact:
+            # The LP sees the payoffs in link units, as it always has.
+            matrix = _as_fractions(matrix, scale)
         columns = [(0, s) for s in state_pool] + [(1, a) for a in cut_pool]
         warm = None
         if basic is not None:
@@ -723,18 +793,20 @@ def _solve(
         cut_probs = _clean_weights(cut_pool, mu, exact)
 
         # Scheduler's certificate: minimum over kept cuts of the scheduled
-        # cut value (for finite nets this IS the fixed-schedule rate).
-        cut_vals = np.where(
-            kept, _cut_values(n, maxl, maxr, sorted(probs.items())), UNBOUNDED
-        )
+        # cut value (for finite nets this IS the fixed-schedule rate).  The
+        # argmin, argmax and tight cuts read the scaled values, whose order
+        # and ties are the values' own; the two certificates leave their
+        # scales to be compared.
+        cut_vals, cut_scale = _cut_values(n, maxl, maxr, scale, sorted(probs.items()))
+        cut_vals = np.where(kept, cut_vals, UNBOUNDED)
         best_cut = int(np.argmin(cut_vals))
-        value = cut_vals[best_cut]
+        value = _unscaled(cut_vals[best_cut], cut_scale, exact)
 
         # Adversary's certificate: maximum over states of the cut-mixture
         # averaged value.
-        state_vals = _cut_values(n, maxr, maxl, cut_probs.items())
+        state_vals, state_scale = _cut_values(n, maxr, maxl, scale, cut_probs.items())
         best_state = int(np.argmax(state_vals))
-        state_val = state_vals[best_state]
+        state_val = _unscaled(state_vals[best_state], state_scale, exact)
 
         grew = False
         if best_cut not in cut_pool and value < state_val - eps:
@@ -752,7 +824,7 @@ def _solve(
             f"float floor {float(value)!r} and ceiling {float(state_val)!r} do not meet"
         )
     tol = 0 if exact else AGREE * max(1.0, abs(value))
-    tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= value + tol))
+    tight = tuple(int(a) for a in np.flatnonzero(cut_vals <= cut_vals[best_cut] + tol))
     try:
         schedule = Schedule(n, probs)
     except NetworkFormatError as exc:
@@ -761,7 +833,7 @@ def _solve(
         raise SolverFailure(f"float LP returned no valid schedule: {exc}") from None
 
     result = CapacityResult(
-        value=value if exact else float(value),
+        value=value,
         optimal_schedule=schedule,
         tight_cuts=tight,
         arithmetic=arith,
@@ -802,10 +874,10 @@ def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
         raise GuardExceeded(
             f"sparsify_schedule search on {n} relays exceeds guard {_SEARCH_GUARD}"
         )
-    maxl, maxr = _tables(net, False)
+    maxl, maxr, scale = _tables(net, False)
     kept = np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)
     _, _, mu, _ = _game_primal(_payoff(maxl, maxr, kept, np.arange(1 << n)), False)
-    state_vals = _cut_values(n, maxr, maxl, zip(kept, mu))
+    state_vals, _ = _cut_values(n, maxr, maxl, scale, zip(kept, mu))
     best = [int(s) for s in np.flatnonzero(state_vals >= state_vals.max() - SETTLED)]
     for k in range(1, n + 2):
         for states in combinations(best, k):
@@ -817,7 +889,8 @@ def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
             if below(value, target, SETTLED) or not probs:
                 continue
             # Certificate: the schedule's own rate, not the LP's objective.
-            rate = _cut_values(n, maxl, maxr, sorted(probs.items()))[kept].min()
+            rates, _ = _cut_values(n, maxl, maxr, scale, sorted(probs.items()))
+            rate = rates[kept].min()
             if abs(rate - target) <= SETTLED:
                 return Schedule(n, probs)
     return None

@@ -263,11 +263,18 @@ def select_k_iterative(
     Round m -> m-1 keeps at least (m-1)/m of the current certified rate
     (checked, BoundViolation if numerically breached), so the final rate
     keeps at least k/n of the starting full-network rate (exact in rational mode).
+
+    In rational mode a given ``schedule`` must be exact (int or ``Fraction``
+    probabilities), else ``ValueError``: a float schedule's probabilities
+    need not sum to exactly 1, so rating it exactly would rate another
+    schedule.
     """
     n = net.n
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got k={k}")
     if arithmetic == "rational":
+        if schedule is not None and not schedule.is_exact:
+            raise ValueError("rational selection needs an exact schedule, got float probabilities")
         net = _exact_links(net)
     sched = schedule if schedule is not None else hd_capacity(net, arithmetic).optimal_schedule
     full_rate = fixed_schedule_rate(net, sched).value

@@ -1,11 +1,15 @@
 """Test oracles: plain, slow routes to numbers the library computes faster.
 
+* :func:`reference_tables` and :func:`reference_scan` are the subset-max
+  tables and the cut scan on plain values, ``Fraction`` or float, with no
+  integer scale: the reference the library's integer scans are checked
+  against.
 * :func:`dual_capacity` is the adversary's side of the scheduling game,
   solved as one LP over the full payoff matrix.  It is an independent route
   to the number :func:`hddiamond.hd_capacity` computes by strategy
   generation: it solves the transposed game (the cut player's LP) rather
   than reading the cut mixture off the schedule LP's prices, and certifies
-  its value from that mixture by a scan over every state.
+  its value from that mixture by a reference scan over every state.
 * :func:`cold_exhaustive` is exhaustive selection as a plain loop: every
   size-k subnetwork solved from scratch, none skipped.
 * :func:`pairwise_leaving_row` is the simplex's leaving-row choice as a
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,20 +33,60 @@ from hddiamond import (
     SelectionReport,
     guarantee_bound,
     hd_capacity,
+    is_unbounded,
 )
 from hddiamond.capacity import (
     _check_arithmetic,
     _clean_weights,
-    _cut_values,
     _normalized_floor_lp,
-    _payoff,
-    _tables,
     _unit_scaled,
 )
 from hddiamond.selection import _ratio
 from hddiamond.simplex import _EPS_ZERO_RHS, _TOL
 
 _DUAL_GUARD = 10  # dual_capacity materializes a dense (cuts x states) matrix
+
+
+def _plain(v: LinkValue, exact: bool) -> LinkValue:
+    if not exact:
+        return float(v)
+    return v if is_unbounded(v) else Fraction(v)
+
+
+def reference_tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(maxl, maxr): the largest uplink and downlink over every relay
+    subset, as float64 arrays or as object arrays of ``Fraction`` and
+    ``UNBOUNDED``."""
+    def build(vals: Sequence[LinkValue]) -> np.ndarray:
+        table = np.array([_plain(0, exact)])
+        for v in vals:
+            table = np.concatenate([table, np.maximum(table, _plain(v, exact))])
+        return table
+
+    return build(net.uplinks), build(net.downlinks)
+
+
+def reference_payoff(maxl: np.ndarray, maxr: np.ndarray, cuts, states) -> np.ndarray:
+    """``value(cut, state)`` over the given cut rows and state columns."""
+    return np.array(
+        [[maxl[a & ~s] + maxr[s & ~a] for s in states] for a in cuts],
+        dtype=maxl.dtype,
+    )
+
+
+def reference_scan(
+    n: int, maxl: np.ndarray, maxr: np.ndarray, items: Iterable[tuple[int, LinkValue]]
+) -> np.ndarray:
+    """Scheduled value of every cut mask under the (state, prob) items, in
+    the tables' own arithmetic; with the tables swapped, the value of every
+    state under a (cut, prob) mixture."""
+    size = 1 << n
+    cuts = np.arange(size)
+    acc = np.full(size, maxl[0])
+    for s, p in items:
+        p = Fraction(p) if maxl.dtype == object else float(p)
+        acc = acc + (maxl[cuts & (size - 1 - s)] + maxr[s & (size - 1 - cuts)]) * p
+    return acc
 
 
 @dataclass(frozen=True)
@@ -90,23 +134,22 @@ def dual_capacity(
     if n > guard:
         raise GuardExceeded(f"dual_capacity on {n} relays exceeds guard {guard}")
     size = 1 << n
-    maxl, maxr = _tables(net, exact)
+    maxl, maxr = reference_tables(net, exact)
     kept = [int(a) for a in np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)]
 
     arith = "rational" if exact else "float"
     if not kept:
         return DualCapacity(UNBOUNDED, {}, arith)
 
-    matrix = _payoff(maxl, maxr, kept, np.arange(size))
+    matrix = reference_payoff(maxl, maxr, kept, range(size))
     _lp_value, mu = _game_dual(matrix, exact)
     cut_probs = _clean_weights(kept, mu, exact)
 
     # Certify directly from the cut mixture: its guaranteed ceiling is the
     # worst (largest) mixed cut value over all states.  Swapping the two
-    # subset-max tables turns the scheduled-cut-value kernel into exactly
-    # this state-indexed average, so the certificate shares the primal
-    # certificate's code path rather than trusting the LP's own objective.
-    value = _cut_values(n, maxr, maxl, sorted(cut_probs.items())).max()
+    # subset-max tables turns the scheduled-cut-value scan into exactly
+    # this state-indexed average, rather than trusting the LP's own objective.
+    value = reference_scan(n, maxr, maxl, sorted(cut_probs.items())).max()
     return DualCapacity(value if exact else float(value), cut_probs, arith)
 
 

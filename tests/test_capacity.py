@@ -30,7 +30,7 @@ from hddiamond import (
     subnetwork_seeds,
 )
 from hddiamond.flow import FlowGraph, max_flow
-from oracles import dual_capacity
+from oracles import dual_capacity, reference_scan, reference_tables
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +126,11 @@ class TestFixedScheduleRate:
 
 
 class TestFlowRateMatchesScan:
-    """The s-t min-cut route of fixed_schedule_rate against the 2^n cut scan,
-    which stays the reference.  Both routes are called directly, so every
-    size from 1 to 12 relays runs through both, whichever one
-    fixed_schedule_rate would pick."""
+    """Both routes of fixed_schedule_rate, the s-t min cut and the library's
+    2^n cut scan, against the reference scan of the oracles, which shares no
+    code with either.  The routes are called directly, so every size from 1
+    to 12 relays runs through both, whichever one fixed_schedule_rate would
+    pick."""
 
     EXACT_LINKS = (F(0), F(1, 2), F(1), F(1), F(3, 2), F(2), UNBOUNDED)
     FLOAT_LINKS = (0.0, 0.5, 1.0, 1.0, 2.5, math.pi, UNBOUNDED)
@@ -138,10 +139,18 @@ class TestFlowRateMatchesScan:
     @staticmethod
     def scan(net, sched):
         exact = capacity._net_is_exact(net) and sched.is_exact
-        maxl, maxr = capacity._tables(net, exact)
-        vals = capacity._cut_values(net.n, maxl, maxr, sched.items())
+        maxl, maxr = reference_tables(net, exact)
+        vals = reference_scan(net.n, maxl, maxr, sched.items())
         cut = int(np.argmin(vals))
         return RateValue(vals[cut] if exact else float(vals[cut]), cut), vals
+
+    @staticmethod
+    def library_scan(net, sched):
+        exact = capacity._net_is_exact(net) and sched.is_exact
+        maxl, maxr, scale = capacity._tables(net, exact)
+        vals, scale = capacity._cut_values(net.n, maxl, maxr, scale, sched.items())
+        cut = int(np.argmin(vals))
+        return RateValue(capacity._unscaled(vals[cut], scale, exact), cut)
 
     @staticmethod
     def flow(net, sched):
@@ -164,12 +173,13 @@ class TestFlowRateMatchesScan:
 
     def assert_exact_match(self, net, sched):
         want, _ = self.scan(net, sched)
-        got = self.flow(net, sched)
-        assert got == want
-        assert type(got.value) is type(want.value)
+        for got in (self.flow(net, sched), self.library_scan(net, sched)):
+            assert got == want
+            assert type(got.value) is type(want.value)
 
     def assert_float_match(self, net, sched):
         want, vals = self.scan(net, sched)
+        assert self.library_scan(net, sched) == want  # the same float operations
         got = self.flow(net, sched)
         assert type(got.value) is float
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
@@ -193,6 +203,7 @@ class TestFlowRateMatchesScan:
             for sched in (Schedule.uniform(n), Schedule(n, {0: 0.25, (1 << n) - 1: 0.75})):
                 assert self.flow(net, sched) == RateValue(UNBOUNDED, 0)
                 assert self.scan(net, sched)[0] == RateValue(UNBOUNDED, 0)
+                assert self.library_scan(net, sched) == RateValue(UNBOUNDED, 0)
 
     def test_float_random_links(self):
         rng = random.Random(6)
@@ -267,6 +278,78 @@ class TestFlowRateMatchesScan:
             assert sink <= set(sink_ref)
             assert sum(c for u, v, c in ref.edges(data="capacity")
                        if u not in sink and v in sink) == want
+
+
+class TestIntegerScale:
+    """Exact scans run on Python ints scaled by the lcm of the links'
+    denominators and of the weights' denominators: checked against the
+    oracles' plain ``Fraction`` scan, on scales far past int64."""
+
+    # Pairwise coprime denominators; the first two alone multiply past 2^64.
+    PRIMES = (2**61 - 1, 2**31 - 1, 2**89 - 1, 1_000_003, 998_244_353, 7, 11)
+
+    def test_property_matches_fraction_scan(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        finite = st.builds(F, st.integers(1, 10**6), st.sampled_from(self.PRIMES))
+        link = st.one_of(finite, st.just(F(0)), st.just(UNBOUNDED))
+        weight = st.builds(F, st.integers(1, 50), st.sampled_from((1, 2, 3, 5, 2**31 - 1)))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+        @hyp.given(data=st.data(), n=st.integers(1, 8))
+        def check(data, n):
+            up = data.draw(st.lists(link, min_size=n, max_size=n))
+            down = data.draw(st.lists(link, min_size=n, max_size=n))
+            up[0] = F(data.draw(st.integers(1, 10**6)), self.PRIMES[0])
+            down[0] = F(data.draw(st.integers(1, 10**6)), self.PRIMES[1])
+            net = DiamondNetwork(tuple(up), tuple(down))
+            assert math.lcm(*(v.denominator for v in up + down if v != UNBOUNDED)) > 2**64
+
+            masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                                       max_size=n + 1, unique=True))
+            raw = data.draw(st.lists(weight, min_size=len(masks), max_size=len(masks)))
+            items = [(m, w / sum(raw)) for m, w in zip(masks, raw)]
+            assert sum(p for _, p in items) == 1
+
+            maxl, maxr, scale = capacity._tables(net, True)
+            refl, refr = reference_tables(net, True)
+            # Cut values under a schedule, and state values under a cut
+            # mixture (the same scan with the tables swapped).
+            for tables, ref_tables, best in (((maxl, maxr), (refl, refr), np.argmin),
+                                             ((maxr, maxl), (refr, refl), np.argmax)):
+                vals, out_scale = capacity._cut_values(n, *tables, scale, items)
+                want = reference_scan(n, *ref_tables, items)
+                got = [capacity._unscaled(v, out_scale, True) for v in vals]
+                assert got == want.tolist()
+                assert best(vals) == best(want)
+
+        check()
+
+    def test_homogeneity_past_int64(self):
+        # Dividing every link by P scales the capacity by 1/P, exactly.
+        p = 2**89 - 1
+        net = gen_worst_case(8)
+        scaled = DiamondNetwork(
+            tuple(F(v) / p for v in net.uplinks), tuple(F(v) / p for v in net.downlinks)
+        )
+        assert capacity._tables(scaled, True)[2] > 2**64
+        res = hd_capacity(scaled, "rational")
+        assert res.value == F(1, p)
+
+    def test_scale_past_float_range_with_unbounded_link(self):
+        # The scaled ints pass 1.8e308, where adding a plain float inf to
+        # them overflows; the unbounded link must still read as unbounded.
+        dens = (2**127 - 1, 2**521 - 1, 2**607 - 1)
+        net = DiamondNetwork((F(1, dens[0]), F(1, dens[1]), UNBOUNDED), (F(1, dens[2]), F(1), F(2)))
+        assert capacity._tables(net, True)[2] > 2**1100
+        sched = Schedule(3, {0: F(1, 3), 5: F(1, 3), 7: F(1, 3)})
+        want, vals = TestFlowRateMatchesScan.scan(net, sched)
+        assert UNBOUNDED in vals.tolist()
+        assert fixed_schedule_rate(net, sched) == capacity._flow_rate(net, sched, True) == want
+        fd = fd_capacity(net)
+        assert (fd.value, fd.tight_cuts) == (2, (0,))
+        assert hd_capacity(net, "rational").value == dual_capacity(net, "rational").value == 2
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +577,12 @@ class TestOneLPPerRound:
             (DiamondNetwork((F(1, 2), 3, F(5, 7)), (2, F(1, 3), 1)), True),
             (DiamondNetwork((0.5, UNBOUNDED, 1.25), (2.0, 0.75, UNBOUNDED)), False),
         ):
-            maxl, maxr = _tables(net, exact)
+            # The tables, and so the gathered payoffs, are on the tables' scale.
+            maxl, maxr, scale = _tables(net, exact)
             cuts, states = [0, 3, 5, 6, 7], list(range(8))
             g = _payoff(maxl, maxr, cuts, states)
             assert g.tolist() == [
-                [cut_state_value(net, a, s) for s in states] for a in cuts
+                [cut_state_value(net, a, s) * scale for s in states] for a in cuts
             ]
 
     def test_pinned_values_attained_by_own_schedule(self):

@@ -193,6 +193,21 @@ class TestIterative:
         assert rep.selected == (1, 2, 3, 4)
         assert rep.fraction == pytest.approx(1.0)
 
+    def test_rational_refuses_float_schedule(self):
+        # A float schedule cannot be rated exactly: its probabilities need
+        # not sum to exactly 1.  Both iterative strategies refuse it.
+        net = gen_worst_case(4)
+        sched = hd_capacity(net).optimal_schedule
+        assert not sched.is_exact
+        with pytest.raises(ValueError, match="exact schedule"):
+            select_k_iterative(net, 3, sched, arithmetic="rational")
+        with pytest.raises(ValueError, match="exact schedule"):
+            select_drop_one_schedule_reuse(net, sched, arithmetic="rational")
+        # The same schedule is rated in float, and an exact one exactly.
+        assert type(select_k_iterative(net, 3, sched).value) is float
+        exact = hd_capacity(net, "rational").optimal_schedule
+        assert select_k_iterative(net, 3, exact, arithmetic="rational").value == F(3, 4)
+
     @staticmethod
     def fall_short(monkeypatch, shortfall):
         """Make each round's rate ``shortfall`` below its (m-1)/m floor."""
