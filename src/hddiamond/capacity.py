@@ -304,22 +304,29 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
     return _flow_rate(net, sched, exact)
 
 
-# Estimated seconds per unit of work, keyed by exactness, used only to pick
-# the cheaper rate algorithm.  The scan costs about one unit per cut and
-# state, plus two per cut for the tables and the argmin; the flow about one
-# unit per relay and state (the threshold graph has up to 2nk chain nodes).
-# Fitted on random nets with n = 3..16 and k = 1..n+1 states; the exact scan
-# unit (Python ints) on random nets with links of denominator <= 100, n =
-# 3..14 and k = 1, 2, n+1.  The flow is chosen from n = 13 / 14 / 15 in float
-# and n = 11 / 12 / 13 in exact arithmetic for k = 1 / 2 / n+1.
+# Estimated seconds, keyed by exactness, used only to pick the cheaper rate
+# algorithm.  The scan costs a fixed set-up plus about one unit per cut and
+# state, plus two per cut for the tables and the argmin.  The flow costs
+# about one unit per relay and state to build (the threshold graph has up to
+# 2nk chain nodes) and one augmenting unit per relay and state past the
+# first: under one state no path joins the source to the sink, so the first
+# search ends the flow.  Fitted on random nets with n = 3..16 and k = 1..n+1
+# states in float; in exact arithmetic (Python ints) on random nets with
+# links of denominator <= 100, n = 3..14 and k = 1, 2, 3, n/2+1, n+1.  The
+# flow is chosen from n = 13 / 14 / 15 in float for k = 1 / 2 / n+1; in
+# exact arithmetic always for k = 1, and from n = 11 / 13 for k = 2 / n+1
+# (and at n = 1, where either costs about the scan's set-up).
+_SCAN_FIXED_S = {False: 0.0, True: 1e-4}
 _SCAN_UNIT_S = {False: 8e-9, True: 1.5e-7}
-_FLOW_UNIT_S = {False: 15e-6, True: 60e-6}
+_FLOW_UNIT_S = {False: 15e-6, True: 20e-6}
+_FLOW_AUGMENT_S = {False: 0.0, True: 55e-6}
 
 
 def _scan_is_cheaper(n: int, k: int, exact: bool) -> bool:
     """Whether scanning every cut under a ``k``-state schedule is estimated
     to cost less than one s-t min cut on the threshold graph."""
-    return _SCAN_UNIT_S[exact] * (1 << n) * (k + 2) <= _FLOW_UNIT_S[exact] * n * k
+    scan = _SCAN_FIXED_S[exact] + _SCAN_UNIT_S[exact] * (1 << n) * (k + 2)
+    return scan <= n * (_FLOW_UNIT_S[exact] * k + _FLOW_AUGMENT_S[exact] * (k - 1))
 
 
 def _float_tol(value: LinkValue) -> float:
@@ -780,7 +787,9 @@ def _solve(
             raise SolverFailure("strategy generation failed to converge")
         matrix = _payoff(maxl, maxr, cut_pool, state_pool)
         if exact:
-            # The LP sees the payoffs in link units, as it always has.
+            # The LP takes the payoffs in link units, as Fractions, and scales
+            # them to integers itself.  Handing it the integer payoffs would
+            # rescale its slacks, and with them its pivot choices.
             matrix = _as_fractions(matrix, scale)
         columns = [(0, s) for s in state_pool] + [(1, a) for a in cut_pool]
         warm = None

@@ -5,11 +5,24 @@ external solver.  Every program this package poses has that shape (the
 restricted matrix games of :func:`hddiamond.hd_capacity`, with rhs all
 ones), so the all-slack basis is feasible from the start and one phase
 reaches the optimum.  The tableau's dtype carries the arithmetic: float64,
-or an object array of ``fractions.Fraction`` when exact.  The programs have
-at most a few thousand rows/columns, so a dense tableau is the simple and
+or an object array of Python ints when exact.  The programs have at most a
+few thousand rows/columns, so a dense tableau is the simple and
 fast-enough choice.  An optimal result also reports the dual solution, read
 off the final objective row, so one solve yields both players' mixtures of
 a matrix game, and its optimal basis.
+
+Exact arithmetic is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss,
+Math. Comp. 1968).  The rows ``A_ub x <= b_ub`` are scaled by the lcm L of
+their denominators and the costs by the lcm C of theirs, so the tableau
+starts as the integers ``[L A | I | L b]`` over the denominator 1, and its
+slacks are L times the LP's.  A pivot keeps every entry an integer over one
+common denominator d, which each basic column holds in its own row: the
+true tableau is ``T / d``, with no gcd taken inside the solve.  Every
+choice weighs the integers as the rational tableau would (the reduced
+costs and pivot entries of slack columns times L, the rhs of a row with a
+basic structural variable times L), so the exact solve takes the same
+pivots it would take on ``Fraction`` entries, and ``Fraction`` values are
+built only for the results.
 
 Warm starts: given a basis, typically the optimal basis of the same LP
 before rows or columns were added, the solve rebuilds the tableau on it
@@ -31,6 +44,7 @@ thousands of pivots.  Runs are fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -79,7 +93,25 @@ _TOL = {False: (1e-9, 1e-8, 1e-8, 1e-9), True: (0, 0, 0, 0)}
 
 def _pivot(t: np.ndarray, obj: np.ndarray | None, basis: list[int], row: int, col: int) -> None:
     piv = t[row, col]
-    if t.dtype != object and -_EPS_ZERO_RHS < t[row, -1] < _EPS_ZERO_RHS:
+    if t.dtype == object:
+        # Edmonds' fraction-free step on the integer tableau over the
+        # denominator d, which the leaving column holds in this row: every
+        # other row becomes (p T_i - T_ic T_row) / d, an exact division
+        # (Bareiss), the pivot row stays, and p is the new denominator.
+        # Negating everything when p < 0 keeps the denominator positive.
+        d = t[row, basis[row]]
+        fresh = (piv * t - np.multiply.outer(t[:, col], t[row])) // d
+        fresh[row] = t[row]
+        t[:] = fresh
+        if obj is not None:
+            obj[:] = (piv * obj - obj[col] * t[row]) // d
+        if piv < 0:
+            np.negative(t, out=t)
+            if obj is not None:
+                np.negative(obj, out=obj)
+        basis[row] = col
+        return
+    if -_EPS_ZERO_RHS < t[row, -1] < _EPS_ZERO_RHS:
         t[row, -1] = 0.0  # keep a degenerate pivot exactly degenerate
     t[row] = t[row] / piv
     rows = np.flatnonzero(t[:, col] != 0)
@@ -112,11 +144,26 @@ def _leaving_row(t: np.ndarray, col: int, exact: bool) -> int:
         rhs = rhs.copy()
         rhs[np.abs(rhs) < _EPS_ZERO_RHS] = 0.0
     for column in chain([rhs, t[:, -1]], t.T[:-1]):
-        ratio = column[rows] / a[rows]
-        rows = rows[ratio <= ratio[ratio.argmin()] + tie]
+        if exact:
+            rows = _least_ratios(column, a, rows)
+        else:
+            ratio = column[rows] / a[rows]
+            rows = rows[ratio <= ratio[ratio.argmin()] + tie]
         if rows.size == 1:
             break
     return int(rows[0])
+
+
+def _least_ratios(num: np.ndarray, den: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The ``rows`` of least ``num / den``, for exact entries with ``den > 0``
+    there, compared by cross-multiplying: a float quotient of two big
+    integers could read two different ratios as tied."""
+    n, q = num[rows], den[rows]
+    best = 0
+    for i in range(1, rows.size):
+        if n[i] * q[best] < n[best] * q[i]:
+            best = i
+    return rows[n * q[best] == n[best] * q]
 
 
 def _refactor(
@@ -183,6 +230,7 @@ def _dual_repair(
     obj: np.ndarray,
     basis: list[int],
     budget: list[int],
+    scale: int = 1,
 ) -> bool:
     """Drive negative basic values out of a basis by dual simplex pivots.
 
@@ -196,21 +244,36 @@ def _dual_repair(
     tableau shows the basis drifted infeasible (a mis-stepped degenerate
     pivot can cause that).  Returns False if some infeasible row has no
     eligible column to pivot on.
+
+    ``scale`` is the exact tableau's slack scale L (1 in float).  The row
+    pick compares rhs entries across rows and the tie-break pivot entries
+    across columns, so both weigh the integers as the rational tableau
+    would: a row whose basic variable is structural, and a slack column,
+    count L times.
     """
-    eps_rc, eps_piv, eps_feas, tie = _TOL[t.dtype == object]
+    exact = t.dtype == object
+    eps_rc, eps_piv, eps_feas, tie = _TOL[exact]
     ncols = t.shape[1] - 1
+    nv = ncols - t.shape[0]
     while True:
-        row = int(np.argmin(t[:, -1]))
-        if t[row, -1] >= -eps_feas:
+        rhs = t[:, -1]
+        if scale != 1:
+            rhs = np.where(np.array(basis) < nv, rhs * scale, rhs)
+        row = int(np.argmin(rhs))
+        if rhs[row] >= -eps_feas:
             return True
         a = t[row, :ncols]
         cand = np.flatnonzero((a < -eps_piv) & (obj[:ncols] >= -eps_rc))
         if cand.size == 0:
             return False
-        ratios = obj[cand] / -a[cand]
         # Among the ratios tied with the least, the largest pivot magnitude.
-        near = cand[ratios <= ratios.min() + tie]
-        col = int(near[np.argmin(a[near])])
+        if exact:
+            near = _least_ratios(obj, -a, cand)
+        else:
+            ratios = obj[cand] / -a[cand]
+            near = cand[ratios <= ratios.min() + tie]
+        size = a[near] if scale == 1 else np.where(near >= nv, a[near] * scale, a[near])
+        col = int(near[np.argmin(size)])
         _pivot(t, obj, basis, row, col)
         budget[0] -= 1
         if budget[0] <= 0:
@@ -224,6 +287,7 @@ def _iterate(
     budget: list[int],
     cost: np.ndarray,
     orig: np.ndarray | None,
+    scale: int = 1,
 ) -> str:
     """Run simplex pivots until optimal/unbounded. obj[-1] is -objective.
 
@@ -240,17 +304,20 @@ def _iterate(
     also audits the rhs column and runs a dual-simplex repair if the basis
     drifted infeasible — "optimal" is only ever returned for a basis that
     is feasible and priced out at the same time.  Exact mode needs none of
-    this.
+    this; there the slack reduced costs count ``scale`` times, as in
+    :func:`_dual_repair`.
     """
     exact = t.dtype == object
     eps_rc, _, eps_feas, _ = _TOL[exact]
     ncols = t.shape[1] - 1
+    slack = np.arange(ncols) >= ncols - t.shape[0]
     refreshes = 0
     since_refactor = 0
     while True:
         col = -1
-        j = int(np.argmin(obj[:ncols]))
-        if obj[j] < -eps_rc:
+        rc = obj[:ncols] if scale == 1 else np.where(slack, obj[:ncols] * scale, obj[:ncols])
+        j = int(np.argmin(rc))
+        if rc[j] < -eps_rc:
             col = j
         if col < 0:
             if exact:
@@ -291,6 +358,12 @@ def _values(vals: Sequence, exact: bool) -> np.ndarray:
     return np.array(vals, dtype=float)
 
 
+def _integers(vals: Sequence[Fraction], scale: int) -> list[int]:
+    """``scale * v`` for each ``v``, where ``scale`` is a multiple of every
+    denominator."""
+    return [v.numerator * (scale // v.denominator) for v in vals]
+
+
 def solve_lp(
     c: Sequence,
     a_ub: Sequence[Sequence],
@@ -306,7 +379,8 @@ def solve_lp(
     result carries the primal solution ``x``, the dual solution ``duals``
     (the slack columns' reduced costs in the final objective row, one price
     per ``A_ub`` row) and the optimal ``basis``.  With ``exact`` every
-    number is a ``Fraction``; otherwise a float.  ``A_ub`` may be a list of
+    number is a ``Fraction``, though the solve itself runs on integers (see
+    the module docstring); otherwise a float.  ``A_ub`` may be a list of
     rows or of 1-d numpy arrays.
 
     ``basis`` warm-starts the solve: ``len(b_ub)`` distinct column indices
@@ -334,38 +408,53 @@ def solve_lp(
     ):
         raise ValueError(f"basis must be {m} column indices below {ncols}")
 
-    # Column layout: structural | slacks (one per row) | rhs.
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    # Column layout: structural | slacks (one per row) | rhs.  Exact
+    # arithmetic scales the rows by the lcm of their denominators and the
+    # costs by the lcm of theirs, to integers (see the module docstring).
+    cvals = _values(c, exact)
     dtype = object if exact else float
-    orig = np.full((m, ncols + 1), zero, dtype=dtype)
-    if exact:
-        orig[:, :nv] = _values([v for row in a_ub for v in row], exact).reshape(m, nv)
-    else:
-        orig[:, :nv] = np.asarray(a_ub, dtype=float).reshape(m, nv)
-    orig[:, -1] = rhs
-    orig[np.arange(m), nv + np.arange(m)] = one
+    orig = np.zeros((m, ncols + 1), dtype=dtype)
     # The slacks cost nothing, so the cost row is already the objective row
     # priced out against the all-slack basis.
-    cost = np.full(ncols + 1, zero, dtype=dtype)
-    cost[:nv] = _values(c, exact)
+    cost = np.zeros(ncols + 1, dtype=dtype)
+    scale = cscale = 1
+    if exact:
+        avals = _values([v for row in a_ub for v in row], exact)
+        scale = math.lcm(*(v.denominator for v in chain(avals, rhs)))
+        cscale = math.lcm(*(v.denominator for v in cvals))
+        orig[:, :nv] = np.array(_integers(avals, scale), dtype=object).reshape(m, nv)
+        orig[:, -1] = _integers(rhs, scale)
+        cost[:nv] = _integers(cvals, cscale)
+    else:
+        orig[:, :nv] = np.asarray(a_ub, dtype=float).reshape(m, nv)
+        orig[:, -1] = rhs
+        cost[:nv] = cvals
+    orig[np.arange(m), nv + np.arange(m)] = 1
     budget = [_MAX_PIVOTS]
 
     status = None
     if basis is not None:
         t, obj, rows = orig.copy(), cost.copy(), list(range(nv, ncols))
         if _install(t, obj, rows, [int(b) for b in basis], orig, cost) and _dual_repair(
-            t, obj, rows, budget
+            t, obj, rows, budget, scale
         ):
-            status = _iterate(t, obj, rows, budget, cost, orig)
+            status = _iterate(t, obj, rows, budget, cost, orig, scale)
     if status is None:
         t, obj, rows = orig.copy(), cost.copy(), list(range(nv, ncols))
-        status = _iterate(t, obj, rows, budget, cost, orig)
+        status = _iterate(t, obj, rows, budget, cost, orig, scale)
     if status != "optimal":
         return LPResult(status, None, None)
 
+    # Every exact basic column holds the common denominator in its own row.
+    d = t[0, rows[0]]
+    zero = Fraction(0) if exact else 0.0
     x = [zero] * nv
     for i, b in enumerate(rows):
         if b < nv:
-            x[b] = t[i, -1]
-    objective = sum((xi * ci for xi, ci in zip(x, cost[:nv].tolist())), zero)
-    return LPResult("optimal", objective, tuple(x), tuple(obj[nv:ncols]), tuple(rows))
+            x[b] = Fraction(t[i, -1], d) if exact else t[i, -1]
+    if exact:
+        duals = tuple(Fraction(scale * w, cscale * d) for w in obj[nv:ncols])
+    else:
+        duals = tuple(obj[nv:ncols])
+    objective = sum((xi * ci for xi, ci in zip(x, cvals.tolist())), zero)
+    return LPResult("optimal", objective, tuple(x), duals, tuple(rows))

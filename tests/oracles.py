@@ -14,6 +14,9 @@
   size-k subnetwork solved from scratch, none skipped.
 * :func:`pairwise_leaving_row` is the simplex's leaving-row choice as a
   per-row scan that breaks near-ties between two rows at a time.
+* :func:`fraction_simplex_pivots` is the exact simplex on a tableau of
+  ``Fraction`` entries, with the library's pivoting rules: the pivots the
+  fraction-free integer tableau must take too.
 """
 
 from __future__ import annotations
@@ -208,3 +211,79 @@ def pairwise_leaving_row(t: np.ndarray, col: int, exact: bool) -> int:
             elif ratio <= best + tie and lexico_less(i, a, row, best_a):
                 best, row, best_a = ratio, i, a
     return row
+
+
+def fraction_simplex_pivots(c, a_ub, b_ub, basis=None) -> tuple[str, list[tuple[int, int]]]:
+    """(status, pivots) of an exact :func:`hddiamond.solve_lp` run on a
+    ``Fraction`` tableau ``[A | I | b]``, as (row, column) pairs in order.
+
+    The rules are the library's, read on the rational entries themselves:
+    an optional warm start pivots each wanted column into the first row
+    whose basic column is not wanted, then dual pivots repair a negative
+    rhs (most negative row first; least ratio ``obj_j / -a_j``, then the
+    most negative ``a_j``), then primal pivots run (Dantzig's entering
+    column, lowest index on ties; lexicographic least-ratio leaving row).
+    A singular warm start, or one the repair cannot make feasible, restarts
+    from the all-slack basis."""
+    m, nv = len(a_ub), len(c)
+    ncols = nv + m
+    pivots: list[tuple[int, int]] = []
+
+    def pivot(t, obj, rows, row, col):
+        t[row] = t[row] / t[row, col]
+        for i in range(m):
+            if i != row and t[i, col] != 0:
+                t[i] = t[i] - t[i, col] * t[row]
+        obj -= obj[col] * t[row]
+        rows[row] = col
+        pivots.append((row, col))
+
+    def install(t, obj, rows, want):
+        if len(set(want)) != m:
+            return False
+        for col in want:
+            if col not in rows:
+                free = [i for i in range(m) if rows[i] not in want and t[i, col] != 0]
+                if not free:
+                    return False
+                pivot(t, obj, rows, free[0], col)
+        return True
+
+    def repair(t, obj, rows):
+        while True:
+            row = min(range(m), key=lambda i: t[i, -1])
+            if t[row, -1] >= 0:
+                return True
+            cand = [j for j in range(ncols) if t[row, j] < 0 and obj[j] >= 0]
+            if not cand:
+                return False
+            least = min(obj[j] / -t[row, j] for j in cand)
+            near = [j for j in cand if obj[j] / -t[row, j] == least]
+            pivot(t, obj, rows, row, min(near, key=lambda j: t[row, j]))
+
+    def primal(t, obj, rows):
+        while True:
+            col = min(range(ncols), key=lambda j: obj[j])
+            if obj[col] >= 0:
+                return "optimal"
+            up = [i for i in range(m) if t[i, col] > 0]
+            if not up:
+                return "unbounded"
+            lex = lambda i: tuple(t[i, k] / t[i, col] for k in (-1, *range(ncols)))
+            pivot(t, obj, rows, min(up, key=lex), col)
+
+    def start():
+        t = np.array(
+            [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(m)]
+             + [Fraction(b_ub[i])] for i, row in enumerate(a_ub)],
+            dtype=object,
+        )
+        obj = np.array([Fraction(v) for v in c] + [Fraction(0)] * (m + 1), dtype=object)
+        return t, obj, list(range(nv, ncols))
+
+    if basis is not None:
+        t, obj, rows = start()
+        if install(t, obj, rows, list(basis)) and repair(t, obj, rows):
+            return primal(t, obj, rows), pivots
+    t, obj, rows = start()
+    return primal(t, obj, rows), pivots

@@ -212,8 +212,9 @@ class TestDuals:
 
 class TestPivot:
     """The one-step pivot update against the row-by-row loop it replaced:
-    each entry is a - b*c either way, so the results must be equal bit for
-    bit in float and as values in exact arithmetic."""
+    each float entry is a - b*c either way, so the results must be equal bit
+    for bit, and the exact integer tableau over its denominator must equal
+    the loop's ``Fraction`` tableau as values."""
 
     @staticmethod
     def loop_pivot(t, row, col):
@@ -235,16 +236,50 @@ class TestPivot:
             row, col = int(rng.integers(m)), int(rng.integers(ncols - 1))
             nums[row, col] = int(rng.integers(1, 6))
             dens = rng.integers(1, 7, (m, ncols))
-            for t in (nums / dens, np.vectorize(F, otypes=[object])(nums, dens)):
-                ref = t.copy()
+            t = nums / dens
+            ref = t.copy()
+            self.loop_pivot(ref, row, col)
+            basis = [0] * m
+            _pivot(t, None, basis, row, col)
+            assert basis[row] == col
+            assert t.tobytes() == ref.tobytes(), trial
+
+    def test_integer_matches_row_loop(self):
+        """Chains of fraction-free pivots from ``[A | I | b]`` over the
+        denominator 1, the objective row included; pivots of either sign."""
+        import numpy as np
+
+        from hddiamond.simplex import _pivot
+
+        rng = np.random.default_rng(5)
+        negative = 0
+        for trial in range(40):
+            m, nv = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            t = np.zeros((m, nv + m + 1), dtype=object)
+            t[:, :nv] = rng.integers(-6, 7, (m, nv)).astype(object)
+            t[rng.random((m, nv + m + 1)) < 0.25] = 0
+            t[np.arange(m), nv + np.arange(m)] = 1
+            t[:, -1] = rng.integers(0, 9, m).astype(object)
+            obj = np.zeros(nv + m + 1, dtype=object)
+            obj[:nv] = rng.integers(-6, 7, nv).astype(object)
+            ref, ref_obj = t * F(1), obj * F(1)
+            basis = list(range(nv, nv + m))
+            for step in range(int(rng.integers(1, 2 * m + 1))):
+                moves = [(i, j) for i in range(m) for j in range(nv + m)
+                         if j not in basis and t[i, j] != 0]
+                if not moves:
+                    break
+                row, col = moves[int(rng.integers(len(moves)))]
+                negative += t[row, col] < 0
                 self.loop_pivot(ref, row, col)
-                basis = [0] * m
-                _pivot(t, None, basis, row, col)
+                ref_obj -= ref_obj[col] * ref[row]
+                _pivot(t, obj, basis, row, col)
                 assert basis[row] == col
-                if t.dtype == object:
-                    assert (t == ref).all(), trial
-                else:
-                    assert t.tobytes() == ref.tobytes(), trial
+                d = t[row, col]
+                assert d > 0 and all(t[i, b] == d for i, b in enumerate(basis)), (trial, step)
+                assert all(type(v) is int for v in (*t.ravel(), *obj)), (trial, step)
+                assert (t * F(1, d) == ref).all() and (obj * F(1, d) == ref_obj).all(), (trial, step)
+        assert negative >= 20  # the sign normalisation is exercised
 
 
 def _scipy_draws(exact):
@@ -408,6 +443,7 @@ class TestLeavingRow:
             key = lambda i: (exact[i, -1] / a[i], *(exact[i, k] / a[i] for k in range(nums.shape[1] - 1)))
             want = min(eligible, key=key) if eligible else -1
             assert _leaving_row(exact, col, True) == want, trial
+            assert _leaving_row(nums.astype(object), col, True) == want, trial
             assert pairwise_leaving_row(exact, col, True) == want, trial
             # Powers of two as pivots keep every float ratio exact, so the
             # float rule sees the same ties and must pick the same row.
@@ -423,3 +459,83 @@ class TestLeavingRow:
         assert sum(d >= 1 for d in depths) >= 100  # ratio ties
         assert sum(d >= 3 for d in depths) >= 50  # ties running several columns deep
         assert depths.count(inf) >= 20  # full ties
+
+    def test_big_integer_ratios(self):
+        """Integer tableaus whose ratios all agree in float and differ only
+        past 2^53: entry ``a_i * base_k + delta`` over a pivot entry
+        ``a_i`` near 2^64.  The brute-force ``Fraction`` key is the oracle;
+        quotients ``int / int`` read the rows as tied, so taking the lowest
+        index on such ties picks another row on most of these tableaus."""
+        import numpy as np
+
+        from hddiamond.simplex import _leaving_row
+
+        rng = np.random.default_rng(11)
+        misread = 0
+        for trial in range(200):
+            m, ncols = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            col = int(rng.integers(ncols))
+            a = [(1 << 64) + int(rng.integers(1000)) for _ in range(m)]
+            for i in rng.choice(m, int(rng.integers(m)), replace=False):
+                a[i] = int(rng.choice([-1, 0]))  # not eligible
+            base = [int(v) for v in rng.integers(1, 4, ncols + 1)]
+            t = np.array([[a[i] * base[k] + int(rng.integers(-2, 3)) for k in range(ncols + 1)]
+                          for i in range(m)], dtype=object)
+            t[:, col] = a
+            t[:, -1] = np.abs(t[:, -1])
+            eligible = [i for i in range(m) if a[i] > 0]
+            key = lambda i: (F(t[i, -1], a[i]), *(F(t[i, k], a[i]) for k in range(ncols)))
+            want = min(eligible, key=key)
+            assert _leaving_row(t, col, True) == want, trial
+            floats = lambda i: (t[i, -1] / a[i], *(t[i, k] / a[i] for k in range(ncols)))
+            misread += min(eligible, key=floats) != want
+        assert misread >= 50
+
+
+class TestFractionFree:
+    """The exact solve runs on integers over one denominator, yet weighs
+    every choice as a ``Fraction`` tableau would: it takes the very pivots
+    of ``oracles.fraction_simplex_pivots``, cold and warm-started.  The
+    random LPs mix denominators from row to row and column to column, and
+    their small entries make the ties between rows and columns that the
+    weights must break as the rational tableau does."""
+
+    def test_same_pivots_as_fraction_tableau(self, monkeypatch):
+        import random
+
+        from oracles import fraction_simplex_pivots
+
+        taken, negative = [], [0]
+        pivot = simplex._pivot
+
+        def recording_pivot(t, obj, basis, row, col):
+            taken.append((row, col))
+            negative[0] += t[row, col] < 0
+            return pivot(t, obj, basis, row, col)
+
+        monkeypatch.setattr(simplex, "_pivot", recording_pivot)
+        rng = random.Random(1)
+        warm = 0
+        for _ in range(300):
+            nv, m = rng.randint(1, 5), rng.randint(2, 6)
+            c = [F(-rng.randint(0, 2), rng.choice([1, 2, 3])) for _ in range(nv)]
+            a = [[F(rng.randint(0, 3), rng.choice([1, 2, 3, 5])) for _ in range(nv)] for _ in range(m)]
+            b = [F(rng.randint(0, 3), rng.choice([1, 2, 3])) for _ in range(m)]
+            # Optimal bases of the LP without its last one or two rows, their
+            # slacks added (the rows may cut the old optimum off), and
+            # without its last column (which starts nonbasic).
+            starts = [None]
+            for drop in (1, 2)[: m - 1]:
+                small = solve_lp(c, a[:-drop], b[:-drop], exact=True)
+                if small.ok:
+                    starts.append([*small.basis, *range(nv + m - drop, nv + m)])
+            if nv > 1:
+                narrow = solve_lp(c[:-1], [r[:-1] for r in a], b, exact=True)
+                if narrow.ok:
+                    starts.append([j if j < nv - 1 else j + 1 for j in narrow.basis])
+            for start in starts:
+                del taken[:]
+                res = solve_lp(c, a, b, exact=True, basis=start)
+                assert (res.status, taken) == fraction_simplex_pivots(c, a, b, start), (c, a, b, start)
+                warm += start is not None
+        assert warm >= 650 and negative[0] >= 200  # dual repairs pivot on a < 0
