@@ -10,7 +10,8 @@ listen/transmit states, an adversary picks a network cut, and the payoff of
 
 with empty maxima reading 0.  The full-duplex (FD) capacity replaces the
 scheduling game by a plain minimum over cuts of (max uplink in A + max
-downlink outside A) and always dominates the HD value.
+downlink outside A) and always dominates the HD value; a downlink-threshold
+cut always attains it, so it is one ``O(n log n)`` scan at any n.
 
 Unbounded links: a cut whose FD value is infinite can never bind as the
 number of channel uses grows, so the HD value with unbounded links is the
@@ -445,24 +446,43 @@ def _cut_rate(
 
 def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     """Full-duplex cut-set capacity: min over cuts A of (best uplink in A +
-    best downlink outside A).  Enumerates all ``2**n`` cuts, so past the
-    relay guard of :func:`hd_capacity` it raises :class:`GuardExceeded`; use
-    :func:`fd_capacity_fast` for large networks.
+    best downlink outside A), in O(n log n) at any n.
+
+    Threshold cuts suffice: if t is the best downlink outside A, taking
+    every relay with downlink at most t out of A lowers no term but the
+    uplink one.  So the scan walks the distinct downlinks t, highest first,
+    each giving the cut ``{i : downlink_i > t}`` worth its best uplink plus
+    t, and ends with the cut of all relays.
+
+    ``tight_cuts`` are the threshold cuts at the minimum, ascending: exact
+    ties when every link is exact, else within ``ROUNDOFF`` (scaled).  They
+    are a nonempty subset of all minimizing cuts: a relay that can sit on
+    either side of a minimum cut is listed on one side only.  An infinite
+    value reports the single cut 0.
     """
-    g = _effective_guard()
-    if net.n > g:
-        raise GuardExceeded(f"fd_capacity on {net.n} relays exceeds guard {g}")
     exact = _net_is_exact(net)
-    maxl, maxr, scale = _tables(net, exact)
-    vals = maxl + maxr[::-1]
-    low = vals.min()
-    if low == UNBOUNDED:
+    up = [_scalar(v, exact) for v in net.uplinks]
+    down = [_scalar(v, exact) for v in net.downlinks]
+    best_up, cut = _scalar(0, exact), 0
+    cands: list[tuple[LinkValue, int]] = []  # (value, cut mask)
+    prev = None
+    for k in sorted(range(net.n), key=down.__getitem__, reverse=True):
+        if down[k] != prev:
+            prev = down[k]
+            # Never inf + a finite link: an exact one may not fit a float.
+            unbounded = is_unbounded(best_up) or is_unbounded(prev)
+            cands.append((UNBOUNDED if unbounded else best_up + prev, cut))
+        best_up = max(best_up, up[k])
+        cut |= 1 << k
+    cands.append((best_up, cut))
+    value = min(v for v, _ in cands)
+    if is_unbounded(value):
         tight: tuple[int, ...] = (0,)
     else:
-        tol = 0 if exact else _float_tol(low)
-        tight = tuple(int(a) for a in np.flatnonzero(vals <= low + tol))
+        tol = 0 if exact else _float_tol(value)
+        tight = tuple(sorted(a for v, a in cands if v <= value + tol))
     return CapacityResult(
-        value=_unscaled(low, scale, exact),
+        value=value,
         optimal_schedule=None,
         tight_cuts=tight,
         arithmetic="rational" if exact else "float",
@@ -470,31 +490,8 @@ def fd_capacity(net: DiamondNetwork) -> CapacityResult:
 
 
 def fd_capacity_fast(net: DiamondNetwork) -> LinkValue:
-    """FD capacity in O(n log n): only cuts of the form {relays whose
-    downlink exceeds a threshold} can be minimal, so it suffices to scan
-    thresholds in downlink order.  Agrees with :func:`fd_capacity` exactly.
-    """
-    n = net.n
-    order = sorted(range(n), key=lambda k: net.downlinks[k], reverse=True)
-    best: LinkValue | None = None
-    run_max: LinkValue = 0
-    k = 0
-    while k < n:
-        t = net.downlinks[order[k]]
-        # candidate cut {i : downlink_i > t}: relays strictly above t listed
-        # before position k in the order
-        cand = run_max + t
-        if best is None or cand < best:
-            best = cand
-        while k < n and net.downlinks[order[k]] == t:
-            up = net.uplinks[order[k]]
-            if up > run_max:
-                run_max = up
-            k += 1
-    cand = run_max  # the all-relays cut: no downlink term
-    if best is None or cand < best:
-        best = cand
-    return best
+    """The value of :func:`fd_capacity`."""
+    return fd_capacity(net).value
 
 
 def single_relay_capacity(l: LinkValue, r: LinkValue) -> LinkValue:

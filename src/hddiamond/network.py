@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -493,9 +494,9 @@ def value_to_json(v: LinkValue) -> int | float | str:
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return int(v)
-        f = float(v)
-        if Fraction(f) == v:
-            return f
+        with suppress(OverflowError):  # past the float range: no float is v
+            if Fraction(f := float(v)) == v:
+                return f
         return f"{v.numerator}/{v.denominator}"
     return v
 

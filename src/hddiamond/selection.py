@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._tolerance import AGREE, SETTLED, below
+from ._tolerance import AGREE, SETTLED, _is_exact, below
 from .capacity import (
     CapacityResult,
     _effective_guard,
@@ -327,9 +327,10 @@ def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
     """Whether ``sub``'s FD value shows it cannot beat the incumbent value
     ``best``: its HD capacity is at most its FD value, so below ``best`` it
     can never win the strict ``>`` comparison.  In float the FD value keeps
-    the slack of a minimum."""
+    the slack of a minimum; exact values read none, and an exact FD value
+    may be too large for a float."""
     fd = fd_capacity_fast(sub)
-    return below(fd, best, _float_tol(fd))
+    return below(fd, best, 0 if _is_exact(fd) and _is_exact(best) else _float_tol(fd))
 
 
 def select_k_exhaustive(

@@ -124,8 +124,6 @@ def check_kwise_intersection_inequality(
     sets: Iterable[Iterable[Hashable]],
     extra: Iterable[Hashable],
     k: int,
-    *,
-    ambient: Iterable[Hashable] | None = None,
 ) -> InequalityCheck:
     """The exchange step that powers the threshold-sum inequality.
 
@@ -136,16 +134,15 @@ def check_kwise_intersection_inequality(
             >= f(U_{k+1}(fam + [B])) + f(U_{k+1}(fam; B)).
 
     Evaluates both sides for the given family/extra/k and compares them:
-    exactly for exact-valued f, else within ``AGREE``.
+    exactly for exact-valued f, else within ``AGREE``.  The empty
+    intersection (k = 0) reads as the union of the family and B.
     """
     fam = _as_family(sets)
     n = len(fam)
     if not 0 <= k < n:
         raise ValueError(f"need 0 <= k < {n}, got k={k}")
     b = frozenset(extra)
-    omega = (
-        frozenset().union(*fam, b) if ambient is None else frozenset(ambient)
-    )
+    omega = frozenset().union(*fam, b)
     lhs = f(_union_of_intersections(fam, k, omega, extra=b)) + f(
         _union_of_intersections(fam, k + 1, omega)
     )

@@ -10,6 +10,9 @@
   generation: it solves the transposed game (the cut player's LP) rather
   than reading the cut mixture off the schedule LP's prices, and certifies
   its value from that mixture by a reference scan over every state.
+* :func:`dense_fd_capacity` is the full-duplex minimum over all ``2**n``
+  cuts, with every tight cut: the reference :func:`hddiamond.fd_capacity`'s
+  threshold scan is checked against (:func:`fd_mismatch`).
 * :func:`cold_exhaustive` is exhaustive selection as a plain loop: every
   size-k subnetwork solved from scratch, none skipped.
 * :func:`pairwise_leaving_row` is the simplex's leaving-row choice as a
@@ -21,7 +24,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -30,10 +33,12 @@ import numpy as np
 
 from hddiamond import (
     UNBOUNDED,
+    CapacityResult,
     DiamondNetwork,
     GuardExceeded,
     LinkValue,
     SelectionReport,
+    fd_capacity,
     guarantee_bound,
     hd_capacity,
     is_unbounded,
@@ -41,8 +46,13 @@ from hddiamond import (
 from hddiamond.capacity import (
     _check_arithmetic,
     _clean_weights,
+    _effective_guard,
+    _float_tol,
+    _net_is_exact,
     _normalized_floor_lp,
+    _tables,
     _unit_scaled,
+    _unscaled,
 )
 from hddiamond.selection import _ratio
 from hddiamond.simplex import _EPS_ZERO_RHS, _TOL
@@ -154,6 +164,55 @@ def dual_capacity(
     # this state-indexed average, rather than trusting the LP's own objective.
     value = reference_scan(n, maxr, maxl, sorted(cut_probs.items())).max()
     return DualCapacity(value if exact else float(value), cut_probs, arith)
+
+
+def dense_fd_capacity(net: DiamondNetwork) -> CapacityResult:
+    """Full-duplex cut-set capacity: min over cuts A of (best uplink in A +
+    best downlink outside A).  Enumerates all ``2**n`` cuts, so past the
+    relay guard of :func:`hd_capacity` it raises :class:`GuardExceeded`.
+    """
+    g = _effective_guard()
+    if net.n > g:
+        raise GuardExceeded(f"fd_capacity on {net.n} relays exceeds guard {g}")
+    exact = _net_is_exact(net)
+    maxl, maxr, scale = _tables(net, exact)
+    vals = maxl + maxr[::-1]
+    low = vals.min()
+    if low == UNBOUNDED:
+        tight: tuple[int, ...] = (0,)
+    else:
+        tol = 0 if exact else _float_tol(low)
+        tight = tuple(int(a) for a in np.flatnonzero(vals <= low + tol))
+    return CapacityResult(
+        value=_unscaled(low, scale, exact),
+        optimal_schedule=None,
+        tight_cuts=tight,
+        arithmetic="rational" if exact else "float",
+    )
+
+
+def is_threshold_cut(net: DiamondNetwork, cut: int) -> bool:
+    """Whether ``cut`` is ``{i : downlink_i > t}`` for some t, or holds
+    every relay: each relay in it has a higher downlink than each outside."""
+    inside = [r for k, r in enumerate(net.downlinks) if cut >> k & 1]
+    outside = [r for k, r in enumerate(net.downlinks) if not cut >> k & 1]
+    return not inside or not outside or min(inside) > max(outside)
+
+
+def fd_mismatch(net: DiamondNetwork) -> str | None:
+    """How :func:`hddiamond.fd_capacity` departs from the dense scan on
+    ``net``, or None.  The value must be ``==`` and of the same type, every
+    reported cut dense-tight and of threshold form, and every dense-tight
+    threshold cut reported (so the cuts are the dense threshold ones, in
+    the dense order)."""
+    got = fd_capacity(net)
+    dense = dense_fd_capacity(net)
+    want = replace(
+        dense, tight_cuts=tuple(a for a in dense.tight_cuts if is_threshold_cut(net, a))
+    )
+    if got != want or type(got.value) is not type(want.value):
+        return f"{got!r} != dense threshold result {want!r}"
+    return None
 
 
 def cold_exhaustive(net: DiamondNetwork, k: int, arithmetic: str = "float") -> SelectionReport:

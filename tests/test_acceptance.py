@@ -41,7 +41,7 @@ from hddiamond import (
 )
 
 from conftest import record_acceptance
-from oracles import dual_capacity
+from oracles import dual_capacity, fd_mismatch
 
 TOL_REGRESSION = 1e-9
 TOL_CROSS = 1e-6
@@ -240,7 +240,7 @@ def test_criterion_4_guarantee_battery():
 
 def test_criterion_5_oracle_equivalences():
     """Independent routes to the same numbers: game primal vs dual, dense
-    vs fast min-cut, rational vs float, LP vs closed form."""
+    vs threshold-scan FD min-cut, rational vs float, LP vs closed form."""
     failures = []
     rng = np.random.default_rng(555)
 
@@ -257,8 +257,8 @@ def test_criterion_5_oracle_equivalences():
         for trial in range(1000):
             n = int(rng.integers(1, 13))
             net = gen_random(n, seed=int(rng.integers(0, 2**31)))
-            if fd_capacity_fast(net) != fd_capacity(net).value:
-                failures.append(f"fd trial {trial}: fast != dense on n={n}")
+            if (mismatch := fd_mismatch(net)) is not None:
+                failures.append(f"fd trial {trial}: threshold scan != dense on n={n}: {mismatch}")
                 break
 
     if not failures:
@@ -295,7 +295,7 @@ def test_criterion_5_oracle_equivalences():
             want = single_relay_capacity(l, r)
             if abs(got - want) > TOL_CROSS:
                 failures.append(f"single relay float ({l},{r}): {got} != {want}")
-    _verdict(5, failures, "dual=primal x200, fast=dense x1000, rational=float x50, closed form")
+    _verdict(5, failures, "dual=primal x200, threshold=dense x1000, rational=float x50, closed form")
 
 
 def test_criterion_6_submodular_machinery():

@@ -30,7 +30,13 @@ from hddiamond import (
     subnetwork_seeds,
 )
 from hddiamond.flow import FlowGraph, max_flow
-from oracles import dual_capacity, reference_scan, reference_tables
+from oracles import (
+    dense_fd_capacity,
+    dual_capacity,
+    fd_mismatch,
+    reference_scan,
+    reference_tables,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +374,7 @@ class TestFullDuplex:
     def test_fast_matches_dense_random(self):
         for seed in range(120):
             net = gen_random(seed % 11 + 1, seed=seed)
+            assert fd_mismatch(net) is None
             assert fd_capacity_fast(net) == fd_capacity(net).value
 
     def test_fast_matches_dense_exact_and_unbounded(self):
@@ -377,9 +384,50 @@ class TestFullDuplex:
             DiamondNetwork((UNBOUNDED, 1), (2, UNBOUNDED)),
             DiamondNetwork((UNBOUNDED,), (UNBOUNDED,)),
             DiamondNetwork((F(1, 3), F(1, 7)), (F(1, 7), F(1, 3))),
+            # zero links
+            DiamondNetwork((0, 0, 1), (0, 0, 0)),
+            DiamondNetwork((0.0, 2.0, 0.0), (1.5, 0.0, 0.0)),
+            DiamondNetwork((0,), (0,)),
+            # tied links, on both sides and across them
+            DiamondNetwork((1, 1, 1), (1, 1, 1)),
+            DiamondNetwork((F(1, 2), 2, F(1, 2)), (2, F(1, 2), 2)),
+            DiamondNetwork((0.25, 0.5, 0.25, 0.5), (0.5, 0.5, 0.25, 0.25)),
+            # unbounded links beside finite ones, on either side
+            DiamondNetwork((UNBOUNDED, UNBOUNDED, 3), (1, 2, UNBOUNDED)),
+            DiamondNetwork((1.0, UNBOUNDED), (UNBOUNDED, 0.5)),
+            DiamondNetwork((UNBOUNDED, 0, 1), (0, UNBOUNDED, 1)),
         ]
         for net in nets:
+            assert fd_mismatch(net) is None, net
             assert fd_capacity_fast(net) == fd_capacity(net).value
+
+    def test_threshold_cuts_are_a_subset_of_the_tight_cuts(self):
+        # Relay 2 can sit on either side of a minimum cut: {2} ties the
+        # empty cut but is no threshold cut, so only the empty one is listed.
+        net = DiamondNetwork((F(1), F(0)), (F(1), F(1, 2)))
+        assert dense_fd_capacity(net).tight_cuts == (0, 2, 3)
+        res = fd_capacity(net)
+        assert (res.value, res.tight_cuts) == (1, (0, 3))
+
+    def test_unbounded_beside_a_link_past_the_float_range(self):
+        # The cut of relay 1 pairs an unbounded uplink with a downlink of
+        # 10**400: its value is unbounded, never inf + 10**400.
+        net = DiamondNetwork((UNBOUNDED, 1), (10**401, 10**400))
+        res = fd_capacity(net)
+        assert (res.value, res.tight_cuts, res.arithmetic) == (10**401, (0,), "rational")
+        assert type(res.value) is F
+        assert fd_capacity_fast(net) == 10**401
+        assert fd_mismatch(net) is None
+
+    def test_no_table_and_no_guard(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 2^n table was built")
+
+        monkeypatch.setattr(capacity, "_tables", refuse)
+        monkeypatch.setenv(capacity.LP_GUARD_ENV, "2")
+        res = fd_capacity(gen_worst_case(40))
+        assert (res.value, type(res.value), res.arithmetic) == (1, F, "rational")
+        assert fd_capacity(gen_random(40, seed=1)).arithmetic == "float"
 
     def test_fully_unbounded(self):
         net = DiamondNetwork((UNBOUNDED,), (UNBOUNDED,))

@@ -10,6 +10,7 @@ import pytest
 from hddiamond import cli
 from hddiamond.cli import main
 from hddiamond.selection import SelectionReport, select_k
+from oracles import dense_fd_capacity, is_threshold_cut
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -148,19 +149,27 @@ class TestCapacity:
         assert code == 3
         assert "guard:" in err
 
-    def test_fd_mode_guard_exits_3(self, capsys, tmp_path, monkeypatch):
-        # The dense FD scan builds two 2^n tables: refuse before building one.
-        from hddiamond import capacity
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a table was built past the size guard")
+    def test_fd_mode_past_the_guard_exits_0(self, capsys, tmp_path, monkeypatch):
+        # The threshold scan builds no 2^n table, so it answers at any n.
+        from hddiamond import capacity, load_network, render_mask
 
         path = tmp_path / "big.json"
         run(capsys, "generate", "--family", "random", "--n", "17", "-o", str(path))
+        net = load_network(str(path))
+        monkeypatch.setenv(capacity.LP_GUARD_ENV, "17")
+        dense = dense_fd_capacity(net)
+        monkeypatch.delenv(capacity.LP_GUARD_ENV)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 2^n table was built")
+
         monkeypatch.setattr(capacity, "_tables", refuse)
-        code, out, err = run(capsys, "capacity", "--network", str(path), "--mode", "fd")
-        assert (code, out) == (3, "")
-        assert err.startswith("guard: fd_capacity on 17 relays exceeds guard 16")
+        code, out, _ = run(capsys, "capacity", "--network", str(path), "--mode", "fd")
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == dense.value
+        threshold = [a for a in dense.tight_cuts if is_threshold_cut(net, a)]
+        assert data["tight_cuts"] == [render_mask(a, 17) for a in threshold] != []
 
     def test_oversized_link_escalates_to_exact(self, capsys, oversized):
         # float(10**400) overflows, so float mode solves the game exactly.
@@ -173,6 +182,19 @@ class TestCapacity:
 
 
 class TestSelect:
+    def test_exact_exhaustive_with_links_past_the_float_range(self, capsys, tmp_path):
+        # The FD skip compares exact values exactly and reads no float slack.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"l": ["inf", 10**400, 1], "r": [1, 10**400, 2]}))
+        code, out, _ = run(
+            capsys, "select", "--network", str(path), "--exact", "-k", "2",
+            "--strategy", "exhaustive",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["selected"] == [1, 2]
+        assert F(data["bound"]) <= F(data["fraction"]) < 1
+
     @pytest.mark.parametrize("strategy", ["exhaustive", "worst-drop"])
     def test_oversized_link_capacity_strategies(self, capsys, oversized, strategy):
         code, out, _ = run(

@@ -252,6 +252,10 @@ class TestSerialization:
         assert value_to_json(F(2, 1)) == 2
         assert value_from_json(0.5) == 0.5
         assert value_from_json(7) == 7
+        # past the float range, a non-integer fraction travels as "p/q"
+        huge = F(10**401 + 1, 2)
+        assert value_to_json(huge) == f"{10**401 + 1}/2"
+        assert value_from_json(value_to_json(huge)) == huge
 
     def test_network_roundtrip(self):
         net = DiamondNetwork((F(1, 3), UNBOUNDED), (2.5, 4), name="x")

@@ -9,6 +9,7 @@ import pytest
 from hddiamond import selection
 from hddiamond import (
     STRATEGIES,
+    UNBOUNDED,
     BoundViolation,
     DiamondNetwork,
     GuardExceeded,
@@ -402,6 +403,15 @@ class TestExhaustive:
         calls.clear()
         select_k_exhaustive(gen_half_tight(4), 1, arithmetic="rational")
         assert len(calls) == 1 + 4
+
+    def test_fd_skip_on_links_past_the_float_range(self):
+        # Both sides of the FD skip are exact, so it reads no float slack,
+        # which would overflow at 10**400.
+        net = DiamondNetwork((UNBOUNDED, 10**400, 1), (1, 10**400, 2))
+        rep = select_k(net, 2, "exhaustive", arithmetic="rational")
+        assert rep.selected == (1, 2)
+        assert rep.below_bound is False
+        assert rep.value == hd_capacity(net.subnetwork((1, 2)), "rational").value
 
     def test_k_equals_n_reuses_the_full_solve(self, monkeypatch):
         calls = []

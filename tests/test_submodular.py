@@ -127,13 +127,6 @@ class TestKwiseIntersectionInequality:
         with pytest.raises(ValueError):
             check_kwise_intersection_inequality(f, [{1}], {1}, -1)
 
-    def test_explicit_ambient(self):
-        f = max_weight_function({1: 3, 2: 5, 3: 7})
-        chk = check_kwise_intersection_inequality(
-            f, [{1, 2}, {2, 3}], {1, 3}, 0, ambient={1, 2, 3}
-        )
-        assert chk.holds
-
     def test_exact_shortfall_fails(self):
         chk = check_kwise_intersection_inequality(squared(TINY), [{1}, {2}], {3}, 0)
         assert (chk.lhs, chk.rhs, chk.holds) == (5 * TINY, 9 * TINY, False)
