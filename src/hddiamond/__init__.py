@@ -14,7 +14,7 @@ zero-sum matrix game between the schedule (maximizer) and network cuts
 simplex core, :func:`fd_capacity` the full-duplex counterpart, and the
 ``selection`` module picks relay subsets with proven fraction
 guarantees.  :func:`sparsify_schedule` returns an optimal schedule on at
-most ``n + 1`` states, which is normally :func:`hd_capacity`'s own.
+most ``n + 1`` states; a rational :func:`hd_capacity` schedule always is one.
 ``verify`` re-checks every structural claim the package relies on, on
 both pinned and randomized instances.
 """

@@ -44,12 +44,11 @@ import os
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._tolerance import AGREE, ROUNDOFF, SETTLED, _is_exact, below
+from ._tolerance import AGREE, ROUNDOFF, SETTLED, _is_exact
 from .errors import GuardExceeded, NetworkFormatError, SolverFailure
 from .flow import FlowGraph, max_flow
 from .network import (
@@ -82,8 +81,6 @@ __all__ = [
 #: Largest relay count of a ``2^n`` scan unless HDDIAMOND_LP_GUARD sets another.
 DEFAULT_LP_GUARD = 16
 LP_GUARD_ENV = "HDDIAMOND_LP_GUARD"
-
-_SEARCH_GUARD = 4  # sparsify's fallback solves sum_k C(2^n, k) restricted games
 
 
 @dataclass(frozen=True)
@@ -280,7 +277,8 @@ def cut_state_value(
     best_r: LinkValue = max(
         (net.downlinks[k] for k in range(n) if transmit_out >> k & 1), default=0
     )
-    return best_l + best_r
+    # Never inf + a finite link: an exact one may not fit a float.
+    return UNBOUNDED if is_unbounded(best_l) or is_unbounded(best_r) else best_l + best_r
 
 
 def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
@@ -849,54 +847,22 @@ def _solve(
 
 def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
     """An optimal schedule with at most ``n + 1`` active states, or None when
-    the capacity is unbounded.
+    the capacity is unbounded: :func:`hd_capacity`'s own schedule when it is
+    that sparse, else the rational solve's, in float.
 
-    Such a schedule always exists (the game value lies in the convex hull of
-    at most n+1 state columns), and the schedule of :func:`hd_capacity` is
-    returned as it is whenever it is that sparse.  Otherwise the fallback
-    solves restricted games over every state subset of size at most n+1
-    until one attains the capacity within ``SETTLED`` (None if none does); it
-    raises :class:`GuardExceeded` past ``n = 4``.
+    The rational schedule always is.  Its final restricted LP ends on a
+    basis, so its positive state columns are independent on the cuts of
+    nonbasic slack.  Those cuts are tight, so the exact certificate makes
+    each a minimizer of ``f_p(A) = sum_s p_s * value(A, s)`` over the kept
+    cuts, an interval lattice.  Each ``value(., s)`` is submodular, so the
+    minimizers form a distributive lattice on which the submodular
+    inequality is tight for each support state: ``K - value(., s)`` is
+    modular there, hence fixed by one maximal chain, of at most n+1 cuts.
+    A float solve proves no exact certificate, hence the fallback.
     """
     res = hd_capacity(net)
     if is_unbounded(res.value):
         return None
     if len(res.optimal_schedule.support) <= net.n + 1:
         return res.optimal_schedule
-    return _sparse_by_search(net, float(res.value))
-
-
-def _sparse_by_search(net: DiamondNetwork, target: float) -> Schedule | None:
-    """First restricted game over at most n+1 states whose schedule's rate
-    over the finite-FD cuts is within ``SETTLED`` of ``target``, the capacity.
-
-    Only the states that are best responses to an optimal cut mixture of
-    the full game are tried: by complementary slackness no optimal schedule
-    puts weight on any other state.  The full game is at most 16 x 16 under
-    the guard, so it is solved once, directly.
-    """
-    n = net.n
-    if n > _SEARCH_GUARD:
-        raise GuardExceeded(
-            f"sparsify_schedule search on {n} relays exceeds guard {_SEARCH_GUARD}"
-        )
-    maxl, maxr, scale = _tables(net, False)
-    kept = np.flatnonzero((maxl + maxr[::-1]) != UNBOUNDED)
-    _, _, mu, _ = _game_primal(_payoff(maxl, maxr, kept, np.arange(1 << n)), False)
-    state_vals, _ = _cut_values(n, maxr, maxl, scale, zip(kept, mu))
-    best = [int(s) for s in np.flatnonzero(state_vals >= state_vals.max() - SETTLED)]
-    for k in range(1, n + 2):
-        for states in combinations(best, k):
-            try:
-                value, lam, _, _ = _game_primal(_payoff(maxl, maxr, kept, states), False)
-            except SolverFailure:
-                continue
-            probs = _clean_weights(states, lam, False)
-            if below(value, target, SETTLED) or not probs:
-                continue
-            # Certificate: the schedule's own rate, not the LP's objective.
-            rates, _ = _cut_values(n, maxl, maxr, scale, sorted(probs.items()))
-            rate = rates[kept].min()
-            if abs(rate - target) <= SETTLED:
-                return Schedule(n, probs)
-    return None
+    return _as_float(hd_capacity(net, "rational")).optimal_schedule

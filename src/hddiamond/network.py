@@ -175,6 +175,8 @@ def _as_mask(subset: int | str | Iterable[int], n: int) -> int:
         return subset
     if isinstance(subset, str):
         return parse_mask(subset, n)
+    if not isinstance(subset, Iterable):
+        raise NetworkFormatError(f"{subset!r} is not a mask, a 0/1 string or relay indices")
     return mask_from_relays(subset, n)
 
 

@@ -3,7 +3,7 @@
 Four strategies pick k of the n relays:
 
 * ``worst-drop``   — repeatedly delete the relay whose single-relay capacity
-  is smallest.  Cheap (n single-relay closed forms per round) and guarantees
+  is smallest.  Cheap (n single-relay closed forms in all) and guarantees
   the surviving subnetwork keeps at least 2^-(n-k) of the capacity — 1/2 for
   k = n-1, which is tight (see ``gen_half_tight``).
 * ``iterative``    — take an optimal schedule of the full network,
@@ -137,10 +137,13 @@ def guarantee_bound(strategy: str, n: int, k: int) -> Fraction:
 def worst_relay_index(net: DiamondNetwork) -> int:
     """1-based position (within this network) of the relay with the smallest
     single-relay capacity; ties break to the lowest position."""
-    singles = [
-        single_relay_capacity(net.uplinks[i], net.downlinks[i]) for i in range(net.n)
-    ]
-    return min(range(net.n), key=lambda i: (singles[i], i)) + 1
+    return _by_single_capacity(net)[0] + 1
+
+
+def _by_single_capacity(net: DiamondNetwork) -> list[int]:
+    """0-based relay positions, ascending by (single-relay capacity, position)."""
+    singles = [single_relay_capacity(l, r) for l, r in zip(net.uplinks, net.downlinks)]
+    return sorted(range(net.n), key=lambda i: (singles[i], i))
 
 
 def _resolve_forced(net: DiamondNetwork, force_remove: Iterable[int] | None) -> list[int]:
@@ -175,23 +178,14 @@ def drop_worst(
     if len(forced) > n - k:
         raise ValueError(f"cannot force {len(forced)} removals when dropping {n - k}")
 
-    current = net
-    removed: list[int] = []
-    while current.n > k:
-        if len(removed) < len(forced):
-            label = forced[len(removed)]
-            pos = current.labels.index(label) + 1
-        else:
-            pos = worst_relay_index(current)
-            label = current.labels[pos - 1]
-        removed.append(label)
-        current = current.drop((pos,))
+    # Single-relay capacities stay as relays go, so one sort gives every round.
+    gone = {net.labels.index(lab) for lab in forced}
+    gone.update([i for i in _by_single_capacity(net) if i not in gone][: n - k - len(gone)])
+    keep = sum(1 << i for i in range(n) if i not in gone)
+    current = net.subnetwork(keep)
 
     full = hd_capacity(net, arithmetic)
-    sub = full
-    if k < n:
-        keep = mask_from_relays((net.labels.index(lab) + 1 for lab in current.labels), n)
-        sub = hd_capacity(current, arithmetic, seeds=subnetwork_seeds(full, keep))
+    sub = hd_capacity(current, arithmetic, seeds=subnetwork_seeds(full, keep)) if k < n else full
     fraction = _ratio(sub.value, full.value)
     notes: tuple[str, ...] = ()
     bound: Fraction | None = guarantee_bound("worst-drop", n, k)

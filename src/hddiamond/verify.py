@@ -21,8 +21,8 @@ Suites (names are the CLI tokens):
   fraction exactly (n-1)/n.
 * ``theorem3``    — the same family's best-1 and best-2 fractions follow
   their closed forms toward the 1/4 and 1/2 limits.
-* ``sparsify``    — an optimal schedule with at most n+1 states exists and
-  is found.
+* ``sparsify``    — ``sparsify_schedule`` returns an optimal schedule with
+  at most n+1 states, as the cut-lattice proof in its docstring says.
 * ``edge-delta``  — dropping relay i costs at most min(uplink_i, downlink_i).
 
 ``fig2`` and ``theorem3`` compare rational exhaustive selection with their

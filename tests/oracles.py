@@ -15,6 +15,8 @@
   threshold scan is checked against (:func:`fd_mismatch`).
 * :func:`cold_exhaustive` is exhaustive selection as a plain loop: every
   size-k subnetwork solved from scratch, none skipped.
+* :func:`round_by_round_kept` is worst-drop selection's relay choice as one
+  removal per round, the worst single relay found again in each round.
 * :func:`pairwise_leaving_row` is the simplex's leaving-row choice as a
   per-row scan that breaks near-ties between two rows at a time.
 * :func:`fraction_simplex_pivots` is the exact simplex on a tableau of
@@ -42,6 +44,7 @@ from hddiamond import (
     guarantee_bound,
     hd_capacity,
     is_unbounded,
+    single_relay_capacity,
 )
 from hddiamond.capacity import (
     _check_arithmetic,
@@ -237,6 +240,25 @@ def cold_exhaustive(net: DiamondNetwork, k: int, arithmetic: str = "float") -> S
         fraction=_ratio(value, full),
         bound=guarantee_bound("exhaustive", net.n, k),
     )
+
+
+def round_by_round_kept(
+    net: DiamondNetwork, k: int, force_remove: Sequence[int] = ()
+) -> tuple[int, ...]:
+    """Labels of the relays :func:`hddiamond.drop_worst` keeps, by removing
+    one relay per round: the forced labels first, in order, then the relay
+    of least single-relay capacity left, the first of equals."""
+    current = net
+    forced = list(force_remove)
+    while current.n > k:
+        if forced:
+            pos = current.labels.index(forced.pop(0))
+        else:
+            singles = [single_relay_capacity(l, r)
+                       for l, r in zip(current.uplinks, current.downlinks)]
+            pos = min(range(current.n), key=lambda i: (singles[i], i))
+        current = current.drop((pos + 1,))
+    return current.labels
 
 
 def pairwise_leaving_row(t: np.ndarray, col: int, exact: bool) -> int:

@@ -122,6 +122,18 @@ class TestDiamondNetwork:
         assert net.subnetwork(0b101).labels == (1, 3)
         assert net.subnetwork("101").labels == (1, 3)
 
+    def test_subset_that_is_no_mask_is_a_format_error(self):
+        net = DiamondNetwork((1, 2, 3), (4, 5, 6))
+        for bad in (True, False, 1.0, None):
+            with pytest.raises(NetworkFormatError):
+                net.subnetwork(bad)
+            with pytest.raises(NetworkFormatError):
+                net.drop(bad)
+            with pytest.raises(NetworkFormatError):
+                hd.cut_state_value(net, bad, 0)
+            with pytest.raises(NetworkFormatError):
+                hd.cut_state_value(net, 0, bad)
+
     def test_drop(self):
         net = DiamondNetwork((1, 2, 3), (4, 5, 6))
         assert net.drop((2,)).labels == (1, 3)

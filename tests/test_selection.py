@@ -1,6 +1,7 @@
 """Relay-subset selection strategies and their proven fraction floors."""
 
 import math
+import random
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -28,7 +29,7 @@ from hddiamond import (
     worst_relay_index,
 )
 from hddiamond._tolerance import SETTLED
-from oracles import cold_exhaustive
+from oracles import cold_exhaustive, round_by_round_kept
 
 
 class TestGuaranteeBound:
@@ -100,6 +101,21 @@ class TestDropWorst:
             for k in range(1, net.n + 1):
                 rep = drop_worst(net, k)
                 assert float(rep.fraction) >= float(rep.bound) - 1e-9
+
+    def test_matches_round_by_round_drops(self):
+        # Ties, zero and unbounded links, and forced removals in any order.
+        rng = random.Random(7)
+        links = (0, 1, 2, F(1, 2), 3, UNBOUNDED)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            net = DiamondNetwork(
+                tuple(rng.choice(links) for _ in range(n)),
+                tuple(rng.choice(links) for _ in range(n)),
+            )
+            for k in range(1, n + 1):
+                forced = rng.sample(range(1, n + 1), rng.randint(0, n - k))
+                rep = drop_worst(net, k, force_remove=forced, arithmetic="rational")
+                assert rep.selected == round_by_round_kept(net, k, forced), (net, k, forced)
 
     def test_k_bounds(self):
         net = gen_random(3, seed=1)

@@ -88,9 +88,7 @@ SCALES = {"ROUNDOFF", "AGREE", "SETTLED"}
 #: (module, enclosing functions) -> how many comparisons there may still
 #: add or subtract a scale: float-only array comparisons, which ``below``
 #: does not take.
-SLACK_EXEMPT = {
-    ("capacity", "_sparse_by_search"): 1,
-}
+SLACK_EXEMPT: dict[tuple[str, str], int] = {}
 
 
 def _shifts_by_a_scale(node: ast.AST) -> bool:
