@@ -28,7 +28,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from contextlib import suppress
 from fractions import Fraction
 
 from .capacity import _exact_links, fd_capacity, hd_capacity
@@ -71,7 +73,8 @@ def _write_text(path: str, text: str) -> None:
 
 def _parse_value(text: str):
     """Capacity value from the command line: 'inf', an int, a float, or
-    an exact 'p/q'."""
+    an exact 'p/q'.  A finite decimal past the float range, such as 1e400,
+    is kept exactly rather than read as unbounded."""
     if text == "inf":
         return UNBOUNDED
     try:
@@ -87,6 +90,9 @@ def _parse_value(text: str):
         value = float(text)
     except ValueError:
         raise NetworkFormatError(f"bad capacity value {text!r}") from None
+    if math.isinf(value):
+        with suppress(ValueError):
+            return Fraction(text)
     return value
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,8 +169,10 @@ def relays_from_mask(mask: int) -> tuple[int, ...]:
 
 
 def _as_mask(subset: int | str | Iterable[int], n: int) -> int:
-    """Accept a mask int, a 0/1 string, or an iterable of relay indices."""
-    if isinstance(subset, int) and not isinstance(subset, bool):
+    """Accept a mask integer (numpy ones too), a 0/1 string, or an iterable
+    of relay indices."""
+    if isinstance(subset, numbers.Integral) and not isinstance(subset, bool):
+        subset = int(subset)
         if not 0 <= subset < (1 << n):
             raise NetworkFormatError(f"mask {subset} out of range for n={n}")
         return subset

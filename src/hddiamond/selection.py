@@ -15,9 +15,13 @@ Four strategies pick k of the n relays:
   rate is at least (n-1)/n of the full value.
 * ``exhaustive``   — solve every size-k subnetwork and keep the best.
   Dominates everything above; its guarantee combines the k/n rate floor
-  with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).  Past the LP guard,
-  rational mode pins the full value exactly when a two-phase schedule's rate
-  meets the full-duplex value.
+  with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).
+
+Every strategy gets the full network's solve from :func:`_certified_capacity`.
+Past the LP guard, rational mode on exact links (iterative and
+schedule-reuse rate exact copies of float links) pins the full value when
+a two-phase schedule's rate meets the full-duplex value; so every strategy
+answers past the guard where the pin closes, and refuses elsewhere.
 
 Capacity-valued strategies report ``value_kind="capacity"``; the
 schedule-driven ones certify rates (``value_kind="rate"``), with
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._tolerance import AGREE, SETTLED, _is_exact, below
 from .capacity import (
@@ -41,6 +45,7 @@ from .capacity import (
     _exact_links,
     _float_tol,
     _net_is_exact,
+    fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
     hd_capacity,
@@ -112,8 +117,15 @@ def _ratio(value: LinkValue, full: LinkValue) -> LinkValue:
     return float(value) / float(full)
 
 
+def _report(strategy, kind, k, value, full_value, selected, bound, notes=()) -> SelectionReport:
+    """The report of a strategy's answer, with its kept fraction."""
+    fraction = _ratio(value, full_value)
+    return SelectionReport(strategy, selected, k, kind, value, full_value, fraction, bound, notes)
+
+
 def guarantee_bound(strategy: str, n: int, k: int) -> Fraction:
-    """Proven floor on the kept fraction for a strategy at (n, k)."""
+    """Proven floor on the kept fraction for a strategy at (n, k).  Every
+    strategy calls it first, so it is also their one check of k."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not 1 <= k <= n:
@@ -132,6 +144,65 @@ def guarantee_bound(strategy: str, n: int, k: int) -> Fraction:
     # and the capacity floor (1/4 for a single relay, 1/2 for more).
     floor = Fraction(1, 4) if k == 1 else Fraction(1, 2)
     return max(Fraction(k, n), floor)
+
+
+def _certified_capacity(net: DiamondNetwork, arithmetic: str) -> CapacityResult:
+    """The full network's solve behind every strategy: the game LP's result.
+
+    Where the LP guard refuses, rational mode on exact links tries the
+    two-sided pin instead: a two-phase schedule's rate from below, the FD
+    capacity from above.  If they meet at a value C, the FD result carrying
+    that schedule is returned.  It certifies like the LP's: each FD-tight
+    cut's scheduled value is at most its FD value C and at least the
+    schedule's rate C, so the cut is tight for the schedule too.  Otherwise
+    the refusal stands."""
+    try:
+        return hd_capacity(net, arithmetic)
+    except GuardExceeded:
+        if arithmetic == "rational" and net.n >= 2 and _net_is_exact(net):
+            sched = gen_two_phase_schedule(net.n)
+            fd = fd_capacity(net)
+            if fixed_schedule_rate(net, sched).value == fd.value:
+                return replace(fd, optimal_schedule=sched)
+        raise
+
+
+def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
+    """Whether ``sub``'s FD value shows it cannot beat the incumbent value
+    ``best``: its HD capacity is at most its FD value, so below ``best`` it
+    can never win the strict ``>`` comparison.  In float the FD value keeps
+    the slack of a minimum; exact values read none, and an exact FD value
+    may be too large for a float."""
+    fd = fd_capacity_fast(sub)
+    return below(fd, best, 0 if _is_exact(fd) and _is_exact(best) else _float_tol(fd))
+
+
+def _best_subnetwork(
+    net: DiamondNetwork, masks: Iterable[int], full: CapacityResult, arithmetic: str
+) -> tuple[LinkValue, tuple[int, ...]]:
+    """The largest capacity among the subnetworks of ``net`` kept by
+    ``masks``, with its relay labels; ties keep the first mask.
+
+    ``full`` is ``net``'s own solve: the mask of every relay reuses it, and
+    every other subnetwork solve is seeded from it (see
+    :func:`subnetwork_seeds`).  A subnetwork whose FD value is below the
+    incumbent is skipped unsolved, since it cannot win.  Neither changes
+    the answer.
+    """
+    whole = (1 << net.n) - 1
+    best: tuple[LinkValue, tuple[int, ...]] | None = None
+    for keep in masks:
+        if keep == whole:
+            value, labels = full.value, net.labels
+        else:
+            sub = net.subnetwork(keep)
+            if best is not None and _fd_rules_out(sub, best[0]):
+                continue
+            value = hd_capacity(sub, arithmetic, seeds=subnetwork_seeds(full, keep)).value
+            labels = sub.labels
+        if best is None or value > best[0]:
+            best = value, labels
+    return best
 
 
 def worst_relay_index(net: DiamondNetwork) -> int:
@@ -172,8 +243,7 @@ def drop_worst(
     None): the guarantee only covers the strategy's own choices.
     """
     n = net.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    bound: Fraction | None = guarantee_bound("worst-drop", n, k)
     forced = _resolve_forced(net, force_remove)
     if len(forced) > n - k:
         raise ValueError(f"cannot force {len(forced)} removals when dropping {n - k}")
@@ -182,30 +252,17 @@ def drop_worst(
     gone = {net.labels.index(lab) for lab in forced}
     gone.update([i for i in _by_single_capacity(net) if i not in gone][: n - k - len(gone)])
     keep = sum(1 << i for i in range(n) if i not in gone)
-    current = net.subnetwork(keep)
 
-    full = hd_capacity(net, arithmetic)
-    sub = hd_capacity(current, arithmetic, seeds=subnetwork_seeds(full, keep)) if k < n else full
-    fraction = _ratio(sub.value, full.value)
+    full = _certified_capacity(net, arithmetic)
+    value, selected = _best_subnetwork(net, [keep], full, arithmetic)
     notes: tuple[str, ...] = ()
-    bound: Fraction | None = guarantee_bound("worst-drop", n, k)
     if forced:
         bound = None
         notes = (
             f"forced removal of relays {tuple(forced)}: the worst-drop bound "
             "does not apply",
         )
-    return SelectionReport(
-        strategy="worst-drop",
-        selected=current.labels,
-        k=k,
-        value_kind="capacity",
-        value=sub.value,
-        full_value=full.value,
-        fraction=fraction,
-        bound=bound,
-        notes=notes,
-    )
+    return _report("worst-drop", "capacity", k, value, full.value, selected, bound, notes)
 
 
 def _reuse_round(
@@ -232,15 +289,13 @@ def select_drop_one_schedule_reuse(
     arithmetic: str = "float",
 ) -> SelectionReport:
     """Drop one relay, reusing (the marginal of) the full network's schedule:
-    one round of :func:`select_k_iterative`.
+    one round of :func:`select_k_iterative`, so it needs at least 2 relays.
 
     Certifies value_kind "rate": the reported value is what the kept n-1
     relays really achieve under the derived schedule, at least (n-1)/n of
     the schedule's full-network rate.  With the default schedule (an optimal
     one) the yardstick equals the HD capacity.
     """
-    if net.n < 2:
-        raise ValueError("need at least 2 relays to drop one")
     report = select_k_iterative(net, net.n - 1, schedule, arithmetic=arithmetic)
     return replace(report, strategy="schedule-reuse")
 
@@ -263,17 +318,16 @@ def select_k_iterative(
     need not sum to exactly 1, so rating it exactly would rate another
     schedule.
     """
-    n = net.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    bound = guarantee_bound("iterative", net.n, k)
     if arithmetic == "rational":
         if schedule is not None and not schedule.is_exact:
             raise ValueError("rational selection needs an exact schedule, got float probabilities")
         net = _exact_links(net)
-    sched = schedule if schedule is not None else hd_capacity(net, arithmetic).optimal_schedule
-    full_rate = fixed_schedule_rate(net, sched).value
+    if schedule is None:
+        schedule = _certified_capacity(net, arithmetic).optimal_schedule
+    full_rate = fixed_schedule_rate(net, schedule).value
 
-    current, cur_sched = net, sched
+    current, cur_sched = net, schedule
     rate = full_rate
     while current.n > k:
         m = current.n
@@ -284,47 +338,7 @@ def select_k_iterative(
                 f"round {m}->{m - 1} rate {new_rate} fell below floor {floor}"
             )
         current, cur_sched, rate = sub, sub_sched, new_rate
-
-    return SelectionReport(
-        strategy="iterative",
-        selected=current.labels,
-        k=k,
-        value_kind="rate",
-        value=rate,
-        full_value=full_rate,
-        fraction=_ratio(rate, full_rate),
-        bound=guarantee_bound("iterative", n, k),
-        notes=(),
-    )
-
-
-def _certified_capacity(
-    net: DiamondNetwork, arithmetic: str
-) -> tuple[LinkValue, CapacityResult | None]:
-    """HD capacity of ``net`` from the game LP, with the LP's result.  Where
-    the LP guard refuses, rational mode on exact links tries the two-sided
-    pin instead: a two-phase schedule's rate from below, the FD capacity
-    from above.  If they meet, that is the capacity (with no LP result);
-    otherwise the refusal stands."""
-    try:
-        res = hd_capacity(net, arithmetic)
-        return res.value, res
-    except GuardExceeded:
-        if arithmetic == "rational" and net.n >= 2 and _net_is_exact(net):
-            lower = fixed_schedule_rate(net, gen_two_phase_schedule(net.n)).value
-            if lower == fd_capacity_fast(net):
-                return lower, None
-        raise
-
-
-def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
-    """Whether ``sub``'s FD value shows it cannot beat the incumbent value
-    ``best``: its HD capacity is at most its FD value, so below ``best`` it
-    can never win the strict ``>`` comparison.  In float the FD value keeps
-    the slack of a minimum; exact values read none, and an exact FD value
-    may be too large for a float."""
-    fd = fd_capacity_fast(sub)
-    return below(fd, best, 0 if _is_exact(fd) and _is_exact(best) else _float_tol(fd))
+    return _report("iterative", "rate", k, rate, full_rate, current.labels, bound)
 
 
 def select_k_exhaustive(
@@ -337,47 +351,21 @@ def select_k_exhaustive(
     relay set).  Guarded on estimated work, before anything is solved: for
     ``k < n`` the subnetworks' ``C(n, k) * 2^k`` scan cells may not exceed
     the ``2^g`` of one scan at the relay guard g (16, or HDDIAMOND_LP_GUARD).
-    At ``k == n`` only the full solve's guard applies.
-
-    Each subnetwork solve is seeded from the full network's solve (see
-    :func:`subnetwork_seeds`), and a subnetwork whose FD value is below the
-    best capacity found so far is skipped unsolved, since it cannot win.
-    Neither changes the report.  At ``k == n`` the full solve is the answer.
+    At ``k == n`` only the full solve's guard applies, and the full solve
+    is the answer.  See :func:`_best_subnetwork` for the seeds and skips.
     """
     n = net.n
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    bound = guarantee_bound("exhaustive", n, k)
     g, cells = _effective_guard(), math.comb(n, k) << k
     if k < n and cells > 1 << g:
         raise GuardExceeded(
             f"select_k_exhaustive on {n} relays with k={k} exceeds guard {g}: "
             f"C({n},{k})*2^{k} = {cells} subnetwork cells > 2^{g}"
         )
-    full_value, full = _certified_capacity(net, arithmetic)
-    best_value: LinkValue | None = full_value
-    best_sub = net
-    if k < n:
-        best_value = None
-        for positions in combinations(range(1, n + 1), k):
-            sub = net.subnetwork(positions)
-            if best_value is not None and _fd_rules_out(sub, best_value):
-                continue
-            keep = mask_from_relays(positions, n)
-            seeds = subnetwork_seeds(full, keep) if full else ((), ())
-            value = hd_capacity(sub, arithmetic, seeds=seeds).value
-            if best_value is None or value > best_value:
-                best_value, best_sub = value, sub
-    return SelectionReport(
-        strategy="exhaustive",
-        selected=best_sub.labels,
-        k=k,
-        value_kind="capacity",
-        value=best_value,
-        full_value=full_value,
-        fraction=_ratio(best_value, full_value),
-        bound=guarantee_bound("exhaustive", n, k),
-        notes=(),
-    )
+    full = _certified_capacity(net, arithmetic)
+    masks = (mask_from_relays(c, n) for c in combinations(range(1, n + 1), k))
+    value, selected = _best_subnetwork(net, masks, full, arithmetic)
+    return _report("exhaustive", "capacity", k, value, full.value, selected, bound)
 
 
 def select_k(

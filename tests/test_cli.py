@@ -9,7 +9,7 @@ import pytest
 
 from hddiamond import cli
 from hddiamond.cli import main
-from hddiamond.selection import SelectionReport, select_k
+from hddiamond.selection import STRATEGIES, SelectionReport, select_k
 from oracles import dense_fd_capacity, is_threshold_cut
 
 
@@ -90,6 +90,21 @@ class TestCapacity:
         data = json.loads(out)
         assert code == 0
         assert data["value"] == pytest.approx(1.0, abs=1e-4)
+
+    def test_big_l_past_the_float_range_stays_finite(self, capsys, tmp_path):
+        # float("1e400") is inf: the literal is kept exactly instead, so the
+        # links stay bounded and the value is below the unbounded limit 3/2.
+        path = tmp_path / "net.json"
+        path.write_text('{"l": [1, 2], "r": ["inf", 1]}')
+        values = {}
+        for big_l in ("inf", "1e400"):
+            code, out, _ = run(
+                capsys, "capacity", "--network", str(path), "--exact", "--big-l", big_l
+            )
+            assert code == 0
+            values[big_l] = F(json.loads(out)["value"])
+        assert values["inf"] == F(3, 2)
+        assert 0 < F(3, 2) - values["1e400"] < F(1, 10**399)
 
     def test_deterministic_output(self, capsys, worst4):
         _, out1, _ = run(capsys, "capacity", "--network", worst4, "--emit-schedule")
@@ -213,6 +228,21 @@ class TestSelect:
         code, out, _ = run(capsys, *argv, "--exact")
         assert code == 0
         assert F(json.loads(out)["full_value"]) == F(2 * 10**400, 10**400 + 1)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pin_past_the_lp_guard(self, capsys, tmp_path, strategy):
+        # n=18 is past the hd_capacity guard; the pin certifies the full
+        # value 1 for every strategy's full solve.
+        k, value = {"worst-drop": ("1", "5/18"), "schedule-reuse": ("17", "17/18"),
+                    "iterative": ("1", "2/9"), "exhaustive": ("1", "5/18")}[strategy]
+        path = str(tmp_path / "worst18.json")
+        run(capsys, "generate", "--family", "worst-case", "--n", "18", "-o", path)
+        code, out, _ = run(
+            capsys, "select", "--network", path, "--exact", "--strategy", strategy, "-k", k
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["full_value"], data["value"], data["fraction"]) == (1, value, value)
 
     def test_exact_iterative_on_float_links(self, capsys, tmp_path):
         # Rational mode rates the float links' exact values, so the rate is

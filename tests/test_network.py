@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 import hddiamond as hd
@@ -121,10 +122,11 @@ class TestDiamondNetwork:
         net = DiamondNetwork((1, 2, 3), (4, 5, 6))
         assert net.subnetwork(0b101).labels == (1, 3)
         assert net.subnetwork("101").labels == (1, 3)
+        assert net.subnetwork(np.int64(0b101)).labels == (1, 3)
 
     def test_subset_that_is_no_mask_is_a_format_error(self):
         net = DiamondNetwork((1, 2, 3), (4, 5, 6))
-        for bad in (True, False, 1.0, None):
+        for bad in (True, False, np.True_, 1.0, None):
             with pytest.raises(NetworkFormatError):
                 net.subnetwork(bad)
             with pytest.raises(NetworkFormatError):

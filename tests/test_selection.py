@@ -345,26 +345,37 @@ class TestExhaustive:
         # Past the LP guard the pin answers k <= 2, up to the work rule.
         assert allowed(181, 2) and not allowed(182, 2)
 
-    def test_pin_past_the_lp_guard(self, monkeypatch):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pin_past_the_lp_guard(self, monkeypatch, strategy):
         # Past the hd_capacity guard, rational mode on exact links takes the
         # full value from the pin when the two-phase rate meets the FD value.
+        # Every strategy gets its full solve there.
         monkeypatch.setenv("HDDIAMOND_LP_GUARD", "4")
+        value = {"worst-drop": F(3, 10), "schedule-reuse": F(7, 8), "iterative": F(1, 4),
+                 "exhaustive": F(3, 10)}[strategy]
+        select = lambda net, arithmetic: select_k(
+            net, net.n - 1 if strategy == "schedule-reuse" else 1, strategy,
+            arithmetic=arithmetic,
+        )
         net = gen_worst_case(8)
-        rep = select_k_exhaustive(net, 1, arithmetic="rational")
-        assert (rep.full_value, rep.value, rep.fraction) == (1, F(3, 10), F(3, 10))
+        rep = select(net, "rational")
+        assert (rep.full_value, rep.value, rep.fraction) == (1, value, value)
         assert isinstance(rep.full_value, F)
         # The pin stays open on odd sizes, and is not tried in float
-        # arithmetic or on float links, even where float sums would meet.
+        # arithmetic, even where float sums would meet.
+        for sub, arithmetic in ((gen_worst_case(7), "rational"), (net, "float")):
+            with pytest.raises(GuardExceeded):
+                select(sub, arithmetic)
+        # Nor on float links; but the schedule-driven strategies rate exact
+        # copies of the links in rational mode, so the pin applies to them.
         floats = DiamondNetwork(
             tuple(map(float, net.uplinks)), tuple(map(float, net.downlinks))
         )
-        for sub, arithmetic in (
-            (gen_worst_case(7), "rational"),
-            (net, "float"),
-            (floats, "rational"),
-        ):
+        if strategy in ("worst-drop", "exhaustive"):
             with pytest.raises(GuardExceeded):
-                select_k_exhaustive(sub, 1, arithmetic=arithmetic)
+                select(floats, "rational")
+        else:
+            assert select(floats, "rational") == rep
 
     def test_pin_at_thirty_relays(self):
         # The pin's two-phase rate is one s-t min cut, not a scan over 2^30
