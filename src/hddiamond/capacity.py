@@ -515,25 +515,28 @@ def single_relay_capacity(l: LinkValue, r: LinkValue) -> LinkValue:
 # The scheduling game
 # ---------------------------------------------------------------------------
 
-def _normalized_floor_lp(a_ub: Sequence[Sequence], exact: bool, basis=None):
-    """Optimal x of ``max sum(x)  s.t.  A x <= 1, x >= 0`` for a matrix with
-    every entry >= 1, returned as ``(1/sum(x), x/sum(x), w/sum(w), basis)``
-    where w are the optimal row prices and ``basis`` the optimal basis of
-    the same solve.
+def _normalized_floor_lp(a_ub: Sequence[Sequence], exact: bool, basis=None, rhs=1):
+    """Optimal x of ``max sum(x)  s.t.  A x <= rhs, x >= 0`` for a matrix
+    with every entry >= ``rhs > 0``, returned as ``(1/sum(x), x/sum(x),
+    w/sum(w), basis)`` where w are the optimal row prices and ``basis`` the
+    optimal basis of the same solve.
 
     This is the shift-normalized matrix-game workhorse and the shape the
     one-phase :func:`solve_lp` is built for: the all-slack basis is feasible
-    (rhs is all ones, never the degenerate all-zeros of the value-variable
-    formulation), so the float tableau stays well conditioned and the final
-    objective row carries the dual solution: ``A^T w >= 1, w >= 0`` with
-    ``sum(w) = sum(x)``.  Entries >= 1 make the LP bounded: each constraint
-    row alone caps sum(x) at 1.  ``a_ub`` is a sequence of rows (lists or
-    numpy rows), as ``solve_lp`` takes it; ``basis`` warm-starts the solve.
+    (the rhs is positive, never the degenerate all-zeros of the
+    value-variable formulation), so the float tableau stays well conditioned
+    and the final objective row carries the dual solution: ``A^T w >= 1,
+    w >= 0`` with ``rhs * sum(w) = sum(x)``.  Entries >= rhs make the LP
+    bounded: each constraint row alone caps sum(x) at 1.  ``a_ub`` is a
+    sequence of rows (lists or numpy rows), as ``solve_lp`` takes it, and
+    ``rhs`` a scalar of the rows' arithmetic; ``basis`` warm-starts the
+    solve.  The exact tableau is ``[A | I | rhs]`` for integer rows and rhs,
+    and the solve pivots on it as it stands (see :mod:`hddiamond.simplex`).
     """
     rows = len(a_ub)
     cols = len(a_ub[0])
     one = Fraction(1) if exact else 1.0
-    res = solve_lp([-one] * cols, a_ub, [one] * rows, exact=exact, basis=basis)
+    res = solve_lp([-one] * cols, a_ub, [rhs] * rows, exact=exact, basis=basis)
     if not res.ok:
         raise SolverFailure(f"game LP came back {res.status}")
     total = sum(res.x)
@@ -562,11 +565,14 @@ def _unit_scaled(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     return matrix / scale, scale
 
 
-def _game_primal(matrix: np.ndarray, exact: bool, basis=None):
+def _game_primal(matrix: np.ndarray, scale: int, basis=None):
     """Value, maximizing column mixture, minimizing row mixture and optimal
     LP basis of a finite matrix game where the column player picks a
     mixture q over columns to maximize the worst row average
-    ``min_i (G q)_i``.
+    ``min_i (G q)_i``, for the payoffs ``matrix = scale * G`` on the
+    tables' scale (see :func:`_tables`).  The dtype carries the mode: float
+    payoffs (scale 1), or an object array of Python ints, whose value comes
+    back as a ``Fraction``.
 
     Derivation: a mixture q guarantees floor V exactly when
     ``(K - G) q <= (K - V) * 1`` for any constant K, so with K large enough
@@ -579,20 +585,32 @@ def _game_primal(matrix: np.ndarray, exact: bool, basis=None):
     ``(K - G)^T w >= 1`` with ``sum(w) = 1/(K - V)``, so ``p = w/sum(w)``
     caps every column average ``(p^T G)_j`` at V.
 
+    Float payoffs are first rescaled by :func:`_unit_scaled`, and K is
+    ``1 + max G``.  Exact payoffs stay integers: with ``shift = scale +
+    max(matrix)``, so that K = shift/scale, the LP is ``(shift - matrix) x
+    <= scale``, which is ``(K - G) x <= 1`` times ``scale``, with both sides
+    divided by their gcd.  Scaling rows leaves x and the value alone, and
+    the simplex pivots on these integers as they stand.
+
     ``basis`` (columns: one per game column, then one slack per game row)
     warm-starts the LP.  Neither the shift nor the positive scale changes
     which bases are feasible or optimal, so an optimal basis of a smaller
     game, with the slacks of any added rows, is a valid start.
     """
-    one = Fraction(1) if exact else 1.0
-    scale = 1.0
-    if not exact:
+    exact = matrix.dtype == object
+    if exact:
+        shift = scale + matrix.max()
+        a_ub = shift - matrix
+        g = math.gcd(scale, *a_ub.flat)
+        a_ub, rhs = a_ub // g, scale // g
+    else:
         matrix, scale = _unit_scaled(matrix)
-    shift = one + matrix.max()
+        shift = 1.0 + matrix.max()
+        a_ub, rhs = shift - matrix, 1
     # The rows go in as numpy rows: no round trip through Python scalars.
-    inv, cols, rows, basis = _normalized_floor_lp(list(shift - matrix), exact, basis)
-    value = shift - inv
-    return (value if exact else scale * value), cols, rows, basis
+    inv, cols, rows, basis = _normalized_floor_lp(list(a_ub), exact, basis, rhs)
+    value = Fraction(shift, scale) - inv if exact else scale * (shift - inv)
+    return value, cols, rows, basis
 
 
 def _clean_weights(masks: Sequence[int], weights: Sequence, exact: bool) -> dict[int, LinkValue]:
@@ -611,10 +629,6 @@ def _payoff(maxl: np.ndarray, maxr: np.ndarray, cuts, states) -> np.ndarray:
     cuts, states = np.asarray(cuts), np.asarray(states)
     return (maxl[np.bitwise_and.outer(cuts, ~states)]
             + maxr[np.bitwise_and.outer(~cuts, states)])
-
-
-#: ``Fraction(x, scale)`` elementwise over an object array.
-_as_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def hd_capacity(
@@ -781,17 +795,12 @@ def _solve(
         if rounds > 4 * size + 8:
             raise SolverFailure("strategy generation failed to converge")
         matrix = _payoff(maxl, maxr, cut_pool, state_pool)
-        if exact:
-            # The LP takes the payoffs in link units, as Fractions, and scales
-            # them to integers itself.  Handing it the integer payoffs would
-            # rescale its slacks, and with them its pivot choices.
-            matrix = _as_fractions(matrix, scale)
         columns = [(0, s) for s in state_pool] + [(1, a) for a in cut_pool]
         warm = None
         if basic is not None:
             where = {key: j for j, key in enumerate(columns)}
             warm = [where[key] for key in basic]
-        _, lam, mu, lp_basis = _game_primal(matrix, exact, warm)
+        _, lam, mu, lp_basis = _game_primal(matrix, scale, warm)
         basic = [columns[j] for j in lp_basis]
         probs = _clean_weights(state_pool, lam, exact)
         cut_probs = _clean_weights(cut_pool, mu, exact)

@@ -6,6 +6,8 @@ most specific one that applies rather than bare ValueError/RuntimeError.
 
 from __future__ import annotations
 
+__all__ = ["BoundViolation", "GuardExceeded", "NetworkFormatError", "SolverFailure"]
+
 
 class NetworkFormatError(ValueError):
     """Malformed network/schedule data: bad JSON shape, negative or NaN link

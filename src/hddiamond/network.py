@@ -66,6 +66,8 @@ __all__ = [
     "save_network",
     "schedule_to_dict",
     "schedule_from_dict",
+    "value_to_json",
+    "value_from_json",
 ]
 
 #: Capacity of a link that can never be the bottleneck.
@@ -147,8 +149,10 @@ def mask_from_relays(relays: Iterable[int], n: int) -> int:
     """Mask for a collection of distinct 1-based relay indices."""
     mask = 0
     for i in relays:
-        if not isinstance(i, int) or not 1 <= i <= n:
+        # numpy integers too, as in _as_mask; a bool is no relay index.
+        if not isinstance(i, numbers.Integral) or isinstance(i, bool) or not 1 <= i <= n:
             raise NetworkFormatError(f"relay index {i!r} out of range 1..{n}")
+        i = int(i)
         bit = 1 << (i - 1)
         if mask & bit:
             raise NetworkFormatError(f"relay index {i} given twice")

@@ -377,7 +377,11 @@ def select_k(
     force_remove: Iterable[int] | None = None,
     arithmetic: str = "float",
 ) -> SelectionReport:
-    """Dispatch to a strategy by name (the CLI entry point)."""
+    """Dispatch to a strategy by name (the CLI entry point).  The strategy
+    and k are checked by :func:`guarantee_bound`, which takes k = n for
+    every strategy; schedule-reuse, which always drops one relay, refuses
+    it here."""
+    guarantee_bound(strategy, net.n, k)
     if schedule is not None and strategy in ("worst-drop", "exhaustive"):
         raise ValueError("schedule only applies to the schedule-reuse and iterative strategies")
     if strategy == "worst-drop":
@@ -385,11 +389,9 @@ def select_k(
     if force_remove:
         raise ValueError("force_remove only applies to the worst-drop strategy")
     if strategy == "schedule-reuse":
-        if k != net.n - 1:
+        if k == net.n:
             raise ValueError("schedule-reuse requires k = n - 1")
         return select_drop_one_schedule_reuse(net, schedule, arithmetic=arithmetic)
     if strategy == "iterative":
         return select_k_iterative(net, k, schedule, arithmetic=arithmetic)
-    if strategy == "exhaustive":
-        return select_k_exhaustive(net, k, arithmetic=arithmetic)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return select_k_exhaustive(net, k, arithmetic=arithmetic)

@@ -2,14 +2,14 @@
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  x >= 0  with ``b_ub >= 0`` and no
 external solver.  Every program this package poses has that shape (the
-restricted matrix games of :func:`hddiamond.hd_capacity`, with rhs all
-ones), so the all-slack basis is feasible from the start and one phase
-reaches the optimum.  The tableau's dtype carries the arithmetic: float64,
-or an object array of Python ints when exact.  The programs have at most a
-few thousand rows/columns, so a dense tableau is the simple and
-fast-enough choice.  An optimal result also reports the dual solution, read
-off the final objective row, so one solve yields both players' mixtures of
-a matrix game, and its optimal basis.
+restricted matrix games of :func:`hddiamond.hd_capacity`, with one
+positive rhs in every row), so the all-slack basis is feasible from the
+start and one phase reaches the optimum.  The tableau's dtype carries the
+arithmetic: float64, or an object array of Python ints when exact.  The
+programs have at most a few thousand rows/columns, so a dense tableau is
+the simple and fast-enough choice.  An optimal result also reports the
+dual solution, read off the final objective row, so one solve yields both
+players' mixtures of a matrix game, and its optimal basis.
 
 Exact arithmetic is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss,
 Math. Comp. 1968).  The rows ``A_ub x <= b_ub`` are scaled by the lcm L of
@@ -17,12 +17,11 @@ their denominators and the costs by the lcm C of theirs, so the tableau
 starts as the integers ``[L A | I | L b]`` over the denominator 1, and its
 slacks are L times the LP's.  A pivot keeps every entry an integer over one
 common denominator d, which each basic column holds in its own row: the
-true tableau is ``T / d``, with no gcd taken inside the solve.  Every
-choice weighs the integers as the rational tableau would (the reduced
-costs and pivot entries of slack columns times L, the rhs of a row with a
-basic structural variable times L), so the exact solve takes the same
-pivots it would take on ``Fraction`` entries, and ``Fraction`` values are
-built only for the results.
+true tableau is ``T / d``, with no gcd taken inside the solve.  Every pivot
+choice reads this tableau as it stands, by the same rules as float, so the
+exact solve takes the pivots a ``Fraction`` tableau of the scaled system
+``(C c, L A, L b)`` would take, and ``Fraction`` values are built only for
+the results.
 
 Warm starts: given a basis, typically the optimal basis of the same LP
 before rows or columns were added, the solve rebuilds the tableau on it
@@ -230,7 +229,6 @@ def _dual_repair(
     obj: np.ndarray,
     basis: list[int],
     budget: list[int],
-    scale: int = 1,
 ) -> bool:
     """Drive negative basic values out of a basis by dual simplex pivots.
 
@@ -244,21 +242,12 @@ def _dual_repair(
     tableau shows the basis drifted infeasible (a mis-stepped degenerate
     pivot can cause that).  Returns False if some infeasible row has no
     eligible column to pivot on.
-
-    ``scale`` is the exact tableau's slack scale L (1 in float).  The row
-    pick compares rhs entries across rows and the tie-break pivot entries
-    across columns, so both weigh the integers as the rational tableau
-    would: a row whose basic variable is structural, and a slack column,
-    count L times.
     """
     exact = t.dtype == object
     eps_rc, eps_piv, eps_feas, tie = _TOL[exact]
     ncols = t.shape[1] - 1
-    nv = ncols - t.shape[0]
     while True:
         rhs = t[:, -1]
-        if scale != 1:
-            rhs = np.where(np.array(basis) < nv, rhs * scale, rhs)
         row = int(np.argmin(rhs))
         if rhs[row] >= -eps_feas:
             return True
@@ -272,8 +261,7 @@ def _dual_repair(
         else:
             ratios = obj[cand] / -a[cand]
             near = cand[ratios <= ratios.min() + tie]
-        size = a[near] if scale == 1 else np.where(near >= nv, a[near] * scale, a[near])
-        col = int(near[np.argmin(size)])
+        col = int(near[np.argmin(a[near])])
         _pivot(t, obj, basis, row, col)
         budget[0] -= 1
         if budget[0] <= 0:
@@ -287,7 +275,6 @@ def _iterate(
     budget: list[int],
     cost: np.ndarray,
     orig: np.ndarray | None,
-    scale: int = 1,
 ) -> str:
     """Run simplex pivots until optimal/unbounded. obj[-1] is -objective.
 
@@ -304,20 +291,17 @@ def _iterate(
     also audits the rhs column and runs a dual-simplex repair if the basis
     drifted infeasible — "optimal" is only ever returned for a basis that
     is feasible and priced out at the same time.  Exact mode needs none of
-    this; there the slack reduced costs count ``scale`` times, as in
-    :func:`_dual_repair`.
+    this.
     """
     exact = t.dtype == object
     eps_rc, _, eps_feas, _ = _TOL[exact]
     ncols = t.shape[1] - 1
-    slack = np.arange(ncols) >= ncols - t.shape[0]
     refreshes = 0
     since_refactor = 0
     while True:
         col = -1
-        rc = obj[:ncols] if scale == 1 else np.where(slack, obj[:ncols] * scale, obj[:ncols])
-        j = int(np.argmin(rc))
-        if rc[j] < -eps_rc:
+        j = int(np.argmin(obj[:ncols]))
+        if obj[j] < -eps_rc:
             col = j
         if col < 0:
             if exact:
@@ -436,12 +420,12 @@ def solve_lp(
     if basis is not None:
         t, obj, rows = orig.copy(), cost.copy(), list(range(nv, ncols))
         if _install(t, obj, rows, [int(b) for b in basis], orig, cost) and _dual_repair(
-            t, obj, rows, budget, scale
+            t, obj, rows, budget
         ):
-            status = _iterate(t, obj, rows, budget, cost, orig, scale)
+            status = _iterate(t, obj, rows, budget, cost, orig)
     if status is None:
         t, obj, rows = orig.copy(), cost.copy(), list(range(nv, ncols))
-        status = _iterate(t, obj, rows, budget, cost, orig, scale)
+        status = _iterate(t, obj, rows, budget, cost, orig)
     if status != "optimal":
         return LPResult(status, None, None)
 

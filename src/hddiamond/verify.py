@@ -34,6 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -119,6 +120,18 @@ def _proper_subset(rng: np.random.Generator, n: int) -> int:
     return int(rng.integers(1, (1 << n) - 1))
 
 
+def _trials(
+    rng: np.random.Generator, trials: int, n_max: int, n_min: int = 2
+) -> Iterator[tuple[str, int, DiamondNetwork]]:
+    """``(label, n, net)`` per trial: n drawn from ``n_min..max(n_min,
+    n_max)``, then a random net on n relays.  Lazy, so the draws a suite
+    makes for one trial come before the next trial's."""
+    n_max = max(n_min, n_max)
+    for t in range(trials):
+        n = int(rng.integers(n_min, n_max + 1))
+        yield f"trial{t:03d}(n={n})", n, _random_net(rng, n)
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -126,10 +139,7 @@ def _proper_subset(rng: np.random.Generator, n: int) -> int:
 def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("partition")
     rng = np.random.default_rng(seed)
-    n_max = max(2, n_max)
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        net = _random_net(rng, n)
+    for label, n, net in _trials(rng, trials, n_max):
         sched = _random_schedule(rng, n)
         full_rate = fixed_schedule_rate(net, sched).value
         ok = True
@@ -160,12 +170,7 @@ def _suite_partition(trials: int, seed: int, n_max: int) -> SuiteReport:
         if below(c_parts, c_full, SETTLED):
             ok = False
             worst = f"capacity split {relays_from_mask(split)}: {c_full} > {c_parts}"
-        rep.record(
-            f"trial{t:03d}(n={n})",
-            ok,
-            "whole <= sum of parts",
-            worst or "held",
-        )
+        rep.record(label, ok, "whole <= sum of parts", worst or "held")
     return rep
 
 
@@ -218,7 +223,6 @@ def _suite_submodular(trials: int, seed: int, n_max: int) -> SuiteReport:
 def _suite_lemma3(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("lemma3")
     rng = np.random.default_rng(seed)
-    n_max = max(3, n_max)
 
     # Exhaustive sweep at n=3: all 4^3 combinations of per-relay cuts.
     net3 = _random_net(rng, 3)
@@ -238,9 +242,7 @@ def _suite_lemma3(trials: int, seed: int, n_max: int) -> SuiteReport:
                     detail = f"cuts {cuts}: {chk.lhs} < {chk.rhs}"
     rep.record("exhaustive-n3", all_ok, "all 64 cut combinations hold", detail)
 
-    for t in range(trials):
-        n = int(rng.integers(3, n_max + 1))
-        net = _random_net(rng, n)
+    for label, n, net in _trials(rng, trials, n_max, n_min=3):
         cuts = []
         for i in range(1, n + 1):
             pool = [x for x in range(1, n + 1) if x != i]
@@ -249,7 +251,7 @@ def _suite_lemma3(trials: int, seed: int, n_max: int) -> SuiteReport:
         chk = check_cut_completion_bound(net, cuts)
         dual_ok = check_complement_duality(cuts, n)
         rep.record(
-            f"trial{t:03d}(n={n})",
+            label,
             chk.holds and dual_ok,
             "completion bound + duality",
             f"{chk.lhs} >= {chk.rhs}, duality={dual_ok}",
@@ -260,10 +262,7 @@ def _suite_lemma3(trials: int, seed: int, n_max: int) -> SuiteReport:
 def _suite_guarantees(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("guarantees")
     rng = np.random.default_rng(seed)
-    n_max = max(2, n_max)
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        net = _random_net(rng, n)
+    for label, n, net in _trials(rng, trials, n_max):
         ok = True
         detail = "all floors met"
         for k in range(1, n + 1):
@@ -286,17 +285,14 @@ def _suite_guarantees(trials: int, seed: int, n_max: int) -> SuiteReport:
             sr = select_drop_one_schedule_reuse(net)
             if sr.below_bound:
                 ok, detail = False, f"schedule-reuse: {sr.fraction} < {sr.bound}"
-        rep.record(f"trial{t:03d}(n={n})", ok, "fraction >= bound", detail)
+        rep.record(label, ok, "fraction >= bound", detail)
     return rep
 
 
 def _suite_lemma5(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("lemma5")
     rng = np.random.default_rng(seed)
-    n_max = max(2, n_max)
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        net = _random_net(rng, n)
+    for label, n, net in _trials(rng, trials, n_max):
         sched = _random_schedule(rng, n)
         full = fixed_schedule_rate(net, sched).value
         total = 0.0
@@ -307,7 +303,7 @@ def _suite_lemma5(trials: int, seed: int, n_max: int) -> SuiteReport:
             ).value
         ok = not below(total, (n - 1) * full, SETTLED)
         rep.record(
-            f"trial{t:03d}(n={n})",
+            label,
             ok,
             f"sum of leave-one-out rates >= {(n - 1)} * {full}",
             f"{total}",
@@ -372,20 +368,17 @@ def _suite_theorem3(trials: int, seed: int, n_max: int) -> SuiteReport:
 def _suite_sparsify(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("sparsify")
     rng = np.random.default_rng(seed)
-    n_max = max(2, n_max)
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        net = _random_net(rng, n)
+    for label, n, net in _trials(rng, trials, n_max):
         cap = hd_capacity(net).value
         sched = sparsify_schedule(net)
         if sched is None:
-            rep.record(f"trial{t:03d}(n={n})", False, "sparse schedule found", "None")
+            rep.record(label, False, "sparse schedule found", "None")
             continue
         rate = fixed_schedule_rate(net, sched).value
         near = not (below(rate, cap, SETTLED) or below(cap, rate, SETTLED))
         ok = len(sched.support) <= n + 1 and near
         rep.record(
-            f"trial{t:03d}(n={n})",
+            label,
             ok,
             f"<= {n + 1} states at rate {cap}",
             f"{len(sched.support)} states at rate {rate}",
@@ -396,10 +389,7 @@ def _suite_sparsify(trials: int, seed: int, n_max: int) -> SuiteReport:
 def _suite_edge_delta(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("edge-delta")
     rng = np.random.default_rng(seed)
-    n_max = max(2, n_max)
-    for t in range(trials):
-        n = int(rng.integers(2, n_max + 1))
-        net = _random_net(rng, n)
+    for label, n, net in _trials(rng, trials, n_max):
         full = hd_capacity(net)
         cap = full.value
         ok = True
@@ -412,7 +402,7 @@ def _suite_edge_delta(trials: int, seed: int, n_max: int) -> SuiteReport:
                 ok = False
                 detail = f"drop {i}: {sub_cap} < {cap} - {delta}"
                 break
-        rep.record(f"trial{t:03d}(n={n})", ok, "loss <= min(uplink, downlink)", detail)
+        rep.record(label, ok, "loss <= min(uplink, downlink)", detail)
     return rep
 
 

@@ -20,8 +20,9 @@
 * :func:`pairwise_leaving_row` is the simplex's leaving-row choice as a
   per-row scan that breaks near-ties between two rows at a time.
 * :func:`fraction_simplex_pivots` is the exact simplex on a tableau of
-  ``Fraction`` entries, with the library's pivoting rules: the pivots the
-  fraction-free integer tableau must take too.
+  ``Fraction`` entries, with the library's pivoting rules: on the system
+  scaled to integers, the pivots the fraction-free integer tableau must
+  take too.
 """
 
 from __future__ import annotations

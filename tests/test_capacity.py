@@ -617,7 +617,12 @@ class TestOneLPPerRound:
                  for _ in range(rows)],
                 dtype=object,
             )
-            value, q, p, _ = _game_primal(g, True)
+            # The LP takes the payoffs as integers on a common scale, as
+            # hd_capacity's tables hold them.
+            scale = math.lcm(*(v.denominator for v in g.flat))
+            value, q, p, _ = _game_primal(
+                np.array([[int(v * scale) for v in row] for row in g], dtype=object), scale
+            )
             assert sum(q) == 1 and sum(p) == 1
             assert min(q) >= 0 and min(p) >= 0
             floor = min(sum(g[i, j] * q[j] for j in range(cols)) for i in range(rows))
@@ -720,10 +725,10 @@ def seeded_vs_unseeded():
     exact_lps = []
     real = capacity._game_primal
 
-    def counting(matrix, exact, *basis):
+    def counting(matrix, scale, *basis):
         if matrix.dtype == object:
             exact_lps.append(matrix.shape)
-        return real(matrix, exact, *basis)
+        return real(matrix, scale, *basis)
 
     rows = []
     with pytest.MonkeyPatch.context() as mp:

@@ -65,6 +65,15 @@ class TestMasks:
         with pytest.raises(NetworkFormatError):
             mask_from_relays([4], 3)
 
+    def test_relay_indices_may_be_numpy_integers(self):
+        from hddiamond.network import mask_from_relays
+
+        assert mask_from_relays(np.array([1, 3]), 3) == 0b101
+        sub = gen_worst_case(3).subnetwork(np.array([1, 3]))
+        assert sub.labels == (1, 3)
+        with pytest.raises(NetworkFormatError):
+            mask_from_relays([True], 3)
+
     def test_restrict_packs_the_kept_bits(self):
         from hddiamond import restrict_mask
 
@@ -301,3 +310,19 @@ class TestSerialization:
         assert states == {"110": 0.5, "001": 0.5}
         back = hd.schedule_from_dict(json.loads(json.dumps(d)))
         assert back.probs == {0b011: 0.5, 0b100: 0.5}
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+def test_public_names_are_the_module_lists():
+    from hddiamond import capacity, errors, network, selection, simplex, submodular, verify
+
+    modules = (capacity, errors, network, selection, simplex, submodular, verify)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    assert sorted(hd.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hd, name) is getattr(module, name)

@@ -159,6 +159,17 @@ class TestScheduleReuse:
         with pytest.raises(ValueError):
             select_k(net, 0, "schedule-reuse")
 
+    def test_select_k_refuses_every_k_but_n_minus_one(self):
+        # guarantee_bound takes k = n for every strategy; schedule-reuse
+        # still drops exactly one relay.
+        net = gen_worst_case(3)
+        assert select_k(net, 2, "schedule-reuse").k == 2
+        for k in (0, 1, 3, 4):
+            with pytest.raises(ValueError):
+                select_k(net, k, "schedule-reuse")
+        with pytest.raises(ValueError):
+            select_k(net, 2, "nope")
+
 
 class TestScheduleReuseIsOneIterativeRound:
     """Schedule-reuse reports what iterative reports at k = n-1, down to the

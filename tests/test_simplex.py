@@ -1,5 +1,6 @@
 """Self-contained one-phase simplex solver: exact and float paths, hard cases."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -493,12 +494,14 @@ class TestLeavingRow:
 
 
 class TestFractionFree:
-    """The exact solve runs on integers over one denominator, yet weighs
-    every choice as a ``Fraction`` tableau would: it takes the very pivots
-    of ``oracles.fraction_simplex_pivots``, cold and warm-started.  The
+    """The exact solve runs on integers over one denominator, the system
+    scaled to ``(C c, L A, L b)`` (C and L the lcms of the cost and of the
+    row denominators), and reads every choice off that tableau as it stands:
+    it takes the very pivots of ``oracles.fraction_simplex_pivots`` on the
+    ``Fraction`` tableau of the scaled system, cold and warm-started.  The
     random LPs mix denominators from row to row and column to column, and
-    their small entries make the ties between rows and columns that the
-    weights must break as the rational tableau does."""
+    their small entries make ties between rows and columns, so a wrong
+    Bareiss division or a wrong lexicographic leaving row shows."""
 
     def test_same_pivots_as_fraction_tableau(self, monkeypatch):
         import random
@@ -533,9 +536,13 @@ class TestFractionFree:
                 narrow = solve_lp(c[:-1], [r[:-1] for r in a], b, exact=True)
                 if narrow.ok:
                     starts.append([j if j < nv - 1 else j + 1 for j in narrow.basis])
+            big_c = math.lcm(*(v.denominator for v in c))
+            big_l = math.lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+            scaled = ([big_c * v for v in c], [[big_l * v for v in row] for row in a],
+                      [big_l * v for v in b])
             for start in starts:
                 del taken[:]
                 res = solve_lp(c, a, b, exact=True, basis=start)
-                assert (res.status, taken) == fraction_simplex_pivots(c, a, b, start), (c, a, b, start)
+                assert (res.status, taken) == fraction_simplex_pivots(*scaled, start), (c, a, b, start)
                 warm += start is not None
         assert warm >= 650 and negative[0] >= 200  # dual repairs pivot on a < 0
