@@ -63,7 +63,7 @@ from .network import (
     is_unbounded,
     restrict_mask,
 )
-from .simplex import solve_lp
+from .simplex import _integers, solve_lp
 
 __all__ = [
     "CapacityResult",
@@ -160,20 +160,28 @@ def _exact_links(net: DiamondNetwork) -> DiamondNetwork:
 
 
 class _Absorbing(float):
-    """``UNBOUNDED`` in exact tables: equal to ``math.inf``, but its sum with
-    an int, or its product with a positive int, is itself.  Adding a plain
-    ``math.inf`` would turn the int into a float, which overflows once the
-    integer scale passes about 1.8e308."""
+    """``UNBOUNDED`` among exact ints: equal to ``math.inf``, but its sum with
+    an int, its difference less an int, and its product with a positive int
+    are itself.  A plain ``math.inf`` would turn the int into a float, which
+    overflows once the integer scale passes about 1.8e308."""
 
     __slots__ = ()
 
     def _absorb(self, other):
         return self
 
-    __add__ = __radd__ = __mul__ = __rmul__ = _absorb
+    __add__ = __radd__ = __sub__ = __mul__ = __rmul__ = _absorb
 
 
 _ABSORBING = _Absorbing(UNBOUNDED)
+
+
+def _scaled_links(links: Sequence[LinkValue]) -> tuple[list, int]:
+    """``(ints, scale)``: each link times the lcm ``scale`` of the finite
+    links' denominators, as a Python int (see :func:`simplex._integers`),
+    with ``UNBOUNDED`` held as :data:`_ABSORBING`."""
+    ints, scale = _integers(0 if is_unbounded(v) else v for v in links)
+    return [_ABSORBING if is_unbounded(v) else i for v, i in zip(links, ints)], scale
 
 
 def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray, int]:
@@ -184,24 +192,24 @@ def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray, i
     denominators.  The dtype carries the arithmetic mode from here on: every
     scan below is the same numpy code in either mode, and a positive scale
     changes no order and no tie."""
+    n = net.n
     if exact:
-        links = net.uplinks + net.downlinks
-        scale = math.lcm(*(Fraction(v).denominator for v in links if not is_unbounded(v)))
-        scaled = lambda v: _ABSORBING if is_unbounded(v) else int(Fraction(v) * scale)
+        links, scale = _scaled_links(net.uplinks + net.downlinks)
         zero = np.array([0], dtype=object)
     else:
-        scale, scaled, zero = 1, float, np.array([0.0])
+        links, scale = [float(v) for v in net.uplinks + net.downlinks], 1
+        zero = np.array([0.0])
 
     def build(vals: Sequence[LinkValue]) -> np.ndarray:
         table = zero
         for v in vals:
             # A 0-d array of the table's dtype: numpy would turn a bare
             # float scalar, _ABSORBING too, into a plain float64.
-            link = np.array(scaled(v), dtype=table.dtype)
+            link = np.array(v, dtype=table.dtype)
             table = np.concatenate([table, np.maximum(table, link)])
         return table
 
-    return build(net.uplinks), build(net.downlinks), scale
+    return build(links[:n]), build(links[n:]), scale
 
 
 def _cut_values(
@@ -225,9 +233,9 @@ def _cut_values(
     size = 1 << n
     cuts = np.arange(size)
     if maxl.dtype == object:
-        items = [(s, Fraction(p)) for s, p in items]
-        d = math.lcm(*(p.denominator for _, p in items))
-        items = [(s, p.numerator * (d // p.denominator)) for s, p in items]
+        items = list(items)
+        weights, d = _integers(p for _, p in items)
+        items = [(s, w) for (s, _), w in zip(items, weights)]
         scale *= d
     else:
         items = [(s, np.float64(p)) for s, p in items]
@@ -285,12 +293,14 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
     """Rate the network carries under a fixed schedule: the minimum over all
     cuts of the schedule-averaged cut value, and a cut attaining it.  Exact
     inputs (int/Fraction links and probabilities) are evaluated exactly and
-    ``min_cut`` is the lowest minimizing cut mask; anything else runs in
-    float64 and ``min_cut`` attains the minimum within the float tolerance
-    (on near-ties it may differ from the lowest such mask).
+    ``min_cut`` is the lowest minimizing cut mask; anything else is rated in
+    float64, and ``min_cut`` attains the minimum within the float tolerance.
 
     Small inputs scan all ``2**n`` cuts; larger ones solve one s-t minimum
     cut (see :func:`_flow_rate`), whichever is estimated to be less work.
+    A float scan reports the lowest mask of least float sum, a flow the
+    lowest minimizer of the exact values of the float inputs; on near-ties
+    the two can differ, each rated in float the same way.
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is over {sched.n} relays, network has {net.n}")
@@ -303,29 +313,26 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
     return _flow_rate(net, sched, exact)
 
 
-# Estimated seconds, keyed by exactness, used only to pick the cheaper rate
-# algorithm.  The scan costs a fixed set-up plus about one unit per cut and
-# state, plus two per cut for the tables and the argmin.  The flow costs
-# about one unit per relay and state to build (the threshold graph has up to
-# 2nk chain nodes) and one augmenting unit per relay and state past the
-# first: under one state no path joins the source to the sink, so the first
-# search ends the flow.  Fitted on random nets with n = 3..16 and k = 1..n+1
-# states in float; in exact arithmetic (Python ints) on random nets with
-# links of denominator <= 100, n = 3..14 and k = 1, 2, 3, n/2+1, n+1.  The
-# flow is chosen from n = 13 / 14 / 15 in float for k = 1 / 2 / n+1; in
-# exact arithmetic always for k = 1, and from n = 11 / 13 for k = 2 / n+1
-# (and at n = 1, where either costs about the scan's set-up).
+# Estimated seconds, used only to pick the cheaper rate algorithm.  The
+# scan, keyed by exactness, costs a fixed set-up plus about one unit per cut
+# and state, plus two per cut for the tables and the argmin.  The flow runs
+# on Python ints in either arithmetic and costs about one unit per relay and
+# state (the threshold graph has up to 2nk chain nodes).  Fitted on random
+# nets with n = 3..16 and k = 1, 2, 3, n/2+1, n+1 states, float links and
+# exact links of denominator <= 100.  The flow is chosen from n = 13 / 14 /
+# 15 in float for k = 1 / 2 / n+1; in exact arithmetic always for k = 1,
+# and from n = 8 / 10 for k = 2 / n+1 (and at n <= 4 / 2, where the scan's
+# set-up dominates).
 _SCAN_FIXED_S = {False: 0.0, True: 1e-4}
 _SCAN_UNIT_S = {False: 8e-9, True: 1.5e-7}
-_FLOW_UNIT_S = {False: 15e-6, True: 20e-6}
-_FLOW_AUGMENT_S = {False: 0.0, True: 55e-6}
+_FLOW_UNIT_S = 13e-6
 
 
 def _scan_is_cheaper(n: int, k: int, exact: bool) -> bool:
     """Whether scanning every cut under a ``k``-state schedule is estimated
     to cost less than one s-t min cut on the threshold graph."""
     scan = _SCAN_FIXED_S[exact] + _SCAN_UNIT_S[exact] * (1 << n) * (k + 2)
-    return scan <= n * (_FLOW_UNIT_S[exact] * k + _FLOW_AUGMENT_S[exact] * (k - 1))
+    return scan <= _FLOW_UNIT_S * n * k
 
 
 def _float_tol(value: LinkValue) -> float:
@@ -356,30 +363,25 @@ def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
     every later one to the sink side too.  The downlink term is the mirror
     image toward the sink.  Cut A's value is then the least capacity of a
     graph cut with sink-side relays A, so the minimal sink side of a
-    minimum cut gives the lowest minimizing mask.  The rate itself is the
-    chosen cut's value, summed as the scan sums it.
+    minimum cut gives the lowest minimizing mask.
 
-    In float, the flow value must match that rate within
-    :func:`_float_tol`; otherwise the same code runs again on the exact
-    ``Fraction`` values of the float inputs, and the float rate of the exact
-    minimizer is returned.
+    The flow runs once, in either arithmetic, on Python ints: the links and
+    the probabilities are scaled by the lcm of their denominators, which is
+    exact for floats too (each is a dyadic rational).  So ``min_cut`` is the
+    lowest minimizer of the exact values of the inputs.  Exact mode returns
+    the flow value over the scale; float mode returns the cut's value summed
+    in float as the scan sums it.
     """
-    up = [_scalar(v, exact) for v in net.uplinks]
-    down = [_scalar(v, exact) for v in net.downlinks]
-    items = [(s, _scalar(p, exact)) for s, p in sched.items()]
-    value, cut = _min_cut(net.n, up, down, items)
+    n = net.n
+    links, scale = _scaled_links(net.uplinks + net.downlinks)
+    weights, d = _integers(sched.probs.values())
+    value, cut = _min_cut(n, links[:n], links[n:], list(zip(sched.probs, weights)))
     if value == UNBOUNDED:
         return RateValue(UNBOUNDED, 0)
-    rate = _cut_rate(up, down, items, cut)
-    if not exact and abs(rate - value) > _float_tol(rate):
-        _, cut = _min_cut(
-            net.n,
-            [_scalar(v, True) for v in up],
-            [_scalar(v, True) for v in down],
-            [(s, _scalar(p, True)) for s, p in items],
-        )
-        rate = _cut_rate(up, down, items, cut)
-    return RateValue(rate, cut)
+    if exact:
+        return RateValue(Fraction(value, scale * d), cut)
+    up, down = [float(v) for v in net.uplinks], [float(v) for v in net.downlinks]
+    return RateValue(_cut_rate(up, down, [(s, float(p)) for s, p in sched.items()], cut), cut)
 
 
 def _min_cut(

@@ -1,10 +1,11 @@
-"""Maximum flow and minimum s-t cut in either arithmetic.
+"""Maximum flow and minimum s-t cut.
 
-Dinic's algorithm on adjacency lists.  Capacities may be floats, ints or
-``Fraction``s, with :data:`UNBOUNDED` (``math.inf``) for an edge that can
-never be cut; the algorithm only adds, subtracts, compares and takes minima,
-so exact capacities give an exact flow.  An infinite capacity is never
-decreased and never meets another infinite value in a subtraction.
+Dinic's algorithm on adjacency lists.  It only adds, subtracts, compares
+and takes minima, so exact capacities give an exact flow;
+:func:`hddiamond.fixed_schedule_rate` runs it on Python ints in both
+arithmetics.  :data:`UNBOUNDED` (``math.inf``) marks an edge that can never
+be cut: an infinite capacity is never decreased and never meets another
+infinite value in a subtraction.
 """
 
 from __future__ import annotations

@@ -130,13 +130,13 @@ def guarantee_bound(strategy: str, n: int, k: int) -> Fraction:
         raise ValueError(f"unknown strategy {strategy!r}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if strategy == "schedule-reuse" and k != n - 1:
+        raise ValueError("schedule-reuse only drops a single relay")
     if k == n:
         return Fraction(1)
     if strategy == "worst-drop":
         return Fraction(1, 1 << (n - k))
     if strategy == "schedule-reuse":
-        if k != n - 1:
-            raise ValueError("schedule-reuse only drops a single relay")
         return Fraction(n - 1, n)
     if strategy == "iterative":
         return Fraction(k, n)
@@ -378,9 +378,7 @@ def select_k(
     arithmetic: str = "float",
 ) -> SelectionReport:
     """Dispatch to a strategy by name (the CLI entry point).  The strategy
-    and k are checked by :func:`guarantee_bound`, which takes k = n for
-    every strategy; schedule-reuse, which always drops one relay, refuses
-    it here."""
+    and k are checked by :func:`guarantee_bound`."""
     guarantee_bound(strategy, net.n, k)
     if schedule is not None and strategy in ("worst-drop", "exhaustive"):
         raise ValueError("schedule only applies to the schedule-reuse and iterative strategies")
@@ -389,8 +387,6 @@ def select_k(
     if force_remove:
         raise ValueError("force_remove only applies to the worst-drop strategy")
     if strategy == "schedule-reuse":
-        if k == net.n:
-            raise ValueError("schedule-reuse requires k = n - 1")
         return select_drop_one_schedule_reuse(net, schedule, arithmetic=arithmetic)
     if strategy == "iterative":
         return select_k_iterative(net, k, schedule, arithmetic=arithmetic)

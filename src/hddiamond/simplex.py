@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -336,16 +336,18 @@ def _iterate(
             since_refactor = 0
 
 
-def _values(vals: Sequence, exact: bool) -> np.ndarray:
-    if exact:
-        return np.array([v if isinstance(v, Fraction) else Fraction(v) for v in vals], dtype=object)
-    return np.array(vals, dtype=float)
-
-
-def _integers(vals: Sequence[Fraction], scale: int) -> list[int]:
-    """``scale * v`` for each ``v``, where ``scale`` is a multiple of every
-    denominator."""
-    return [v.numerator * (scale // v.denominator) for v in vals]
+def _integers(values: Iterable) -> tuple[list[int], int]:
+    """``(ints, scale)``: each value times ``scale`` as a Python int, where
+    ``scale`` is the lcm of the values' denominators (1 for no values).
+    Ints, ``Fraction``s and numpy integers are read by their numerator and
+    denominator, floats exactly by ``as_integer_ratio``, so no ``Fraction``
+    is built."""
+    ratios = [
+        v.as_integer_ratio() if isinstance(v, float) else (int(v.numerator), int(v.denominator))
+        for v in values
+    ]
+    scale = math.lcm(*(d for _, d in ratios))
+    return [p * (scale // d) for p, d in ratios], scale
 
 
 def solve_lp(
@@ -383,8 +385,7 @@ def solve_lp(
         raise ValueError("no constraints")
     if any(len(row) != nv for row in a_ub):
         raise ValueError("A_ub row length mismatch")
-    rhs = _values(b_ub, exact)
-    if (rhs < 0).any():
+    if any(b < 0 for b in b_ub):
         raise ValueError("b_ub must be nonnegative")
     ncols = nv + m
     if basis is not None and (
@@ -395,24 +396,21 @@ def solve_lp(
     # Column layout: structural | slacks (one per row) | rhs.  Exact
     # arithmetic scales the rows by the lcm of their denominators and the
     # costs by the lcm of theirs, to integers (see the module docstring).
-    cvals = _values(c, exact)
     dtype = object if exact else float
     orig = np.zeros((m, ncols + 1), dtype=dtype)
     # The slacks cost nothing, so the cost row is already the objective row
     # priced out against the all-slack basis.
     cost = np.zeros(ncols + 1, dtype=dtype)
-    scale = cscale = 1
     if exact:
-        avals = _values([v for row in a_ub for v in row], exact)
-        scale = math.lcm(*(v.denominator for v in chain(avals, rhs)))
-        cscale = math.lcm(*(v.denominator for v in cvals))
-        orig[:, :nv] = np.array(_integers(avals, scale), dtype=object).reshape(m, nv)
-        orig[:, -1] = _integers(rhs, scale)
-        cost[:nv] = _integers(cvals, cscale)
+        ints, scale = _integers(chain(*a_ub, b_ub))
+        orig[:, :nv] = np.array(ints[: m * nv], dtype=object).reshape(m, nv)
+        orig[:, -1] = ints[m * nv :]
+        ints, cscale = _integers(c)
+        cost[:nv] = ints
     else:
         orig[:, :nv] = np.asarray(a_ub, dtype=float).reshape(m, nv)
-        orig[:, -1] = rhs
-        cost[:nv] = cvals
+        orig[:, -1] = b_ub
+        cost[:nv] = c
     orig[np.arange(m), nv + np.arange(m)] = 1
     budget = [_MAX_PIVOTS]
 
@@ -438,7 +436,8 @@ def solve_lp(
             x[b] = Fraction(t[i, -1], d) if exact else t[i, -1]
     if exact:
         duals = tuple(Fraction(scale * w, cscale * d) for w in obj[nv:ncols])
+        objective = sum((xi * ci for xi, ci in zip(x, cost[:nv])), zero) / cscale
     else:
         duals = tuple(obj[nv:ncols])
-    objective = sum((xi * ci for xi, ci in zip(x, cvals.tolist())), zero)
+        objective = sum((xi * ci for xi, ci in zip(x, cost[:nv].tolist())), zero)
     return LPResult("optimal", objective, tuple(x), duals, tuple(rows))

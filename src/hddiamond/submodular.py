@@ -21,8 +21,9 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
 from ._tolerance import AGREE, below
+from .capacity import cut_state_value
 from .errors import GuardExceeded
-from .network import DiamondNetwork, LinkValue
+from .network import UNBOUNDED, DiamondNetwork, LinkValue, is_unbounded
 
 __all__ = [
     "InequalityCheck",
@@ -202,8 +203,11 @@ def complete_cut_family(
     return thresh[: n - 1]
 
 
-def _best(values: Iterable[LinkValue]) -> LinkValue:
-    return max(values, default=0)
+def _total(terms: Iterable[LinkValue]) -> LinkValue:
+    """Sum of cut values, unbounded when any term is: adding ``math.inf``
+    to an exact int past the float range would overflow."""
+    terms = list(terms)
+    return UNBOUNDED if any(map(is_unbounded, terms)) else sum(terms)
 
 
 def check_cut_completion_bound(
@@ -214,23 +218,20 @@ def check_cut_completion_bound(
 
     Left side: total value of the given per-subnetwork cuts (for cut A_i of
     the subnetwork missing relay i: best uplink inside A_i plus best
-    downlink among the subnetwork's relays outside it).  Right side: total
-    full-network cut value of :func:`complete_cut_family`.  The two compare
-    exactly for exact links, else within ``AGREE``.
+    downlink among the subnetwork's relays outside it, the payoff of cut
+    A_i against the state transmitting on those relays).  Right side: total
+    full-network cut value of :func:`complete_cut_family` (cut A against
+    the state ~A).  Any unbounded term makes its side unbounded.  The two
+    compare exactly for exact links, else within ``AGREE``.
     """
     n = net.n
     full_cuts = complete_cut_family(subnet_cuts, n)
-    lhs: LinkValue = 0
-    for i, cut in enumerate(subnet_cuts, start=1):
-        a = frozenset(cut)
-        b = frozenset(range(1, n + 1)) - {i} - a
-        lhs = lhs + _best(net.uplink(x) for x in a) + _best(net.downlink(x) for x in b)
-    rhs: LinkValue = 0
-    for a in full_cuts:
-        outside = frozenset(range(1, n + 1)) - a
-        rhs = rhs + _best(net.uplink(x) for x in a) + _best(
-            net.downlink(x) for x in outside
-        )
+    relays = frozenset(range(1, n + 1))
+    lhs = _total(
+        cut_state_value(net, a, relays - {i} - a)
+        for i, a in enumerate(map(frozenset, subnet_cuts), start=1)
+    )
+    rhs = _total(cut_state_value(net, a, relays - a) for a in full_cuts)
     return CutCompletionCheck(lhs, rhs, not below(lhs, rhs, AGREE), tuple(full_cuts))
 
 

@@ -195,7 +195,11 @@ class TestFlowRateMatchesScan:
         got = self.flow(net, sched)
         assert type(got.value) is float
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
-        assert vals[got.min_cut] == pytest.approx(want.value, rel=1e-12, abs=0)
+        # The flow runs on the exact values of the float inputs: its cut is
+        # their lowest minimizer, rated in float as the scan rates it.
+        exact_vals = reference_scan(net.n, *reference_tables(net, True), sched.items())
+        assert got.min_cut == int(np.argmin(exact_vals))
+        assert got.value == vals[got.min_cut]
 
     def test_exact_random_links(self):
         rng = random.Random(5)
@@ -241,32 +245,23 @@ class TestFlowRateMatchesScan:
 
         check()
 
-    def test_failed_float_certificate_reruns_exactly(self, monkeypatch):
-        # A float flow value that disagrees with its own cut sends the solve
-        # back through the same code on the exact values of the float inputs.
-        calls = []
-
-        def skewed(g, s, t):
-            value, sink_side = max_flow(g, s, t)
-            calls.append(type(value))
-            if isinstance(value, float):
-                return value / 2, [v == t for v in range(len(sink_side))]
-            return value, sink_side
-
-        monkeypatch.setattr(capacity, "max_flow", skewed)
-        rng = random.Random(7)
-        for n in (3, 6, 10):
-            # Every relay listens in one state and transmits in the other,
-            # so the rate is positive and the float flow carries a value.
-            net, _ = self.draw(rng, n, (0.5, 1.0, 2.5, math.pi), False)
-            half = rng.randrange(1, (1 << n) - 1)
-            sched = Schedule(n, {half: 0.5, half ^ ((1 << n) - 1): 0.5})
-            want, _ = self.scan(net, sched)
-            calls.clear()
-            got = self.flow(net, sched)
-            assert calls == [float, F]
-            assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
-            assert got.min_cut == want.min_cut
+    def test_float_cut_is_the_lowest_exact_minimizer(self):
+        # A benchmark rate item (gen_random(19, 0) under the float schedule
+        # drawn with seed 38): cuts 256 and 33024 tie exactly.  A float flow
+        # reported 33024; the flow on exact values reports the lower one.
+        n = 19
+        net = gen_random(n, 0)
+        rng = np.random.default_rng(38)
+        k = int(rng.integers(1, n + 2))
+        states = rng.choice(1 << n, size=k, replace=False)
+        probs = rng.dirichlet(np.ones(k))
+        sched = Schedule(n, {int(s): float(p) for s, p in zip(states, probs)})
+        exact_net = capacity._exact_links(net)
+        value = lambda cut: sum(F(p) * cut_state_value(exact_net, cut, s) for s, p in sched.items())
+        assert value(256) == value(33024)
+        got = fixed_schedule_rate(net, sched)
+        assert got == self.flow(net, sched)
+        assert got == RateValue(capacity._cut_rate(net.uplinks, net.downlinks, sched.items(), 256), 256)
 
     def test_max_flow_matches_networkx(self):
         nx = pytest.importorskip("networkx")

@@ -343,6 +343,11 @@ class TestSelect:
         code, _, err = run(capsys, "select", "--network", worst4, "-k", "9")
         assert code == 2
         assert "error:" in err
+        # schedule-reuse always drops one relay, so k = n is refused too.
+        code, out, err = run(capsys, "select", "--network", worst4, "-k", "4",
+                             "--strategy", "schedule-reuse")
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
     def test_deterministic(self, capsys, worst4):
         _, out1, _ = run(capsys, "select", "--network", worst4, "-k", "2")

@@ -43,7 +43,8 @@ class TestGuaranteeBound:
         assert guarantee_bound("exhaustive", 10, 7) == F(7, 10)
         assert guarantee_bound("exhaustive", 10, 3) == F(1, 2)
         for strategy in STRATEGIES:
-            assert guarantee_bound(strategy, 6, 6) == 1
+            if strategy != "schedule-reuse":
+                assert guarantee_bound(strategy, 6, 6) == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -52,6 +53,8 @@ class TestGuaranteeBound:
             guarantee_bound("iterative", 3, 0)
         with pytest.raises(ValueError):
             guarantee_bound("schedule-reuse", 5, 3)
+        with pytest.raises(ValueError):
+            guarantee_bound("schedule-reuse", 5, 5)  # it always drops one relay
 
 
 class TestWorstRelayIndex:
@@ -160,8 +163,7 @@ class TestScheduleReuse:
             select_k(net, 0, "schedule-reuse")
 
     def test_select_k_refuses_every_k_but_n_minus_one(self):
-        # guarantee_bound takes k = n for every strategy; schedule-reuse
-        # still drops exactly one relay.
+        # guarantee_bound refuses every k but n - 1 for schedule-reuse.
         net = gen_worst_case(3)
         assert select_k(net, 2, "schedule-reuse").k == 2
         for k in (0, 1, 3, 4):

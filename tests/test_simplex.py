@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from hddiamond import SolverFailure, simplex, solve_lp
@@ -106,6 +107,12 @@ class TestExact:
         approx = solve_lp([float(v) for v in c], [[float(v) for v in r] for r in a], [float(v) for v in b])
         assert exact.ok and approx.ok
         assert float(exact.objective) == pytest.approx(approx.objective, abs=1e-9)
+        # Ints, numpy integers and floats are read exactly, as Fractions are.
+        for cast in (int, np.int64, float):
+            res = solve_lp([cast(v) for v in c], [np.array([cast(v) for v in r]) for r in a],
+                           [cast(v) for v in b], exact=True)
+            assert res == exact
+            assert all(type(v) is F for v in (res.objective, *res.x, *res.duals))
 
 
 class TestAgainstScipy:

@@ -8,6 +8,7 @@ import pytest
 
 from hddiamond import submodular
 from hddiamond import (
+    UNBOUNDED,
     DiamondNetwork,
     GuardExceeded,
     check_complement_duality,
@@ -207,6 +208,18 @@ class TestCutCompletion:
         net = DiamondNetwork((F(1, 3), F(2, 7)), (F(5, 11), F(1, 2)))
         chk = check_cut_completion_bound(net, [{2}, {1}])
         assert isinstance(chk.lhs, F) and isinstance(chk.rhs, F)
+
+    def test_unbounded_term_beside_a_huge_exact_link(self):
+        # Adding inf to 10**400 overflows; an unbounded term makes its side
+        # unbounded instead.
+        net = DiamondNetwork((10**400, 1, 1), (UNBOUNDED, 1, 2))
+        chk = check_cut_completion_bound(net, [set(), set(), {1}])
+        assert chk.lhs == chk.rhs == UNBOUNDED
+        assert chk.holds
+        assert chk.full_cuts == (frozenset({1}), frozenset())
+        # Finite huge terms stay exact ints.
+        chk = check_cut_completion_bound(net, [set(), {1, 3}, {1}])
+        assert chk.lhs == 2 + 10**400 + (10**400 + 1)
 
 
 class TestComplementDuality:
