@@ -11,7 +11,9 @@ listen/transmit states, an adversary picks a network cut, and the payoff of
 with empty maxima reading 0.  The full-duplex (FD) capacity replaces the
 scheduling game by a plain minimum over cuts of (max uplink in A + max
 downlink outside A) and always dominates the HD value; a downlink-threshold
-cut always attains it, so it is one ``O(n log n)`` scan at any n.
+cut always attains it, so it is one ``O(n log n)`` scan at any n.  Like the
+single-relay closed form and the min-cut rate, it runs once on the exact
+values of its inputs and rounds once when any input is a float.
 
 Unbounded links: a cut whose FD value is infinite can never bind as the
 number of channel uses grows, so the HD value with unbounded links is the
@@ -145,17 +147,9 @@ def _net_is_exact(net: DiamondNetwork) -> bool:
 # payoff is then two table lookups:
 #     value(A, s) = maxl[A & ~s] + maxr[s & ~A].
 
-def _scalar(v: LinkValue, exact: bool) -> LinkValue:
-    """A link value or probability in one arithmetic: a float, or when exact
-    a ``Fraction`` (``UNBOUNDED`` stays as it is)."""
-    if not exact:
-        return float(v)
-    return UNBOUNDED if is_unbounded(v) else Fraction(v)
-
-
 def _exact_links(net: DiamondNetwork) -> DiamondNetwork:
     """``net`` with every finite link as an exact ``Fraction``, name and labels kept."""
-    exact = lambda vals: tuple(_scalar(v, True) for v in vals)
+    exact = lambda vals: tuple(UNBOUNDED if is_unbounded(v) else Fraction(v) for v in vals)
     return replace(net, uplinks=exact(net.uplinks), downlinks=exact(net.downlinks))
 
 
@@ -296,43 +290,39 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
     ``min_cut`` is the lowest minimizing cut mask; anything else is rated in
     float64, and ``min_cut`` attains the minimum within the float tolerance.
 
-    Small inputs scan all ``2**n`` cuts; larger ones solve one s-t minimum
-    cut (see :func:`_flow_rate`), whichever is estimated to be less work.
-    A float scan reports the lowest mask of least float sum, a flow the
-    lowest minimizer of the exact values of the float inputs; on near-ties
-    the two can differ, each rated in float the same way.
+    Exact inputs always solve one s-t minimum cut (see :func:`_flow_rate`).
+    Float inputs scan all ``2**n`` cuts in float when that is estimated to
+    be less work, and else take the same min cut, whose value is the exact
+    rate rounded once.  The scan reports the lowest mask of least float sum,
+    the min cut the lowest minimizer of the exact values of the float
+    inputs; on near-ties the two can differ.
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is over {sched.n} relays, network has {net.n}")
     exact = _net_is_exact(net) and sched.is_exact
-    if _scan_is_cheaper(net.n, len(sched.probs), exact):
-        maxl, maxr, scale = _tables(net, exact)
-        vals, scale = _cut_values(net.n, maxl, maxr, scale, sched.items())
+    if not exact and _scan_is_cheaper(net.n, len(sched.probs)):
+        maxl, maxr, _ = _tables(net, False)
+        vals, _ = _cut_values(net.n, maxl, maxr, 1, sched.items())
         cut = int(np.argmin(vals))
-        return RateValue(_unscaled(vals[cut], scale, exact), cut)
+        return RateValue(float(vals[cut]), cut)
     return _flow_rate(net, sched, exact)
 
 
-# Estimated seconds, used only to pick the cheaper rate algorithm.  The
-# scan, keyed by exactness, costs a fixed set-up plus about one unit per cut
-# and state, plus two per cut for the tables and the argmin.  The flow runs
-# on Python ints in either arithmetic and costs about one unit per relay and
-# state (the threshold graph has up to 2nk chain nodes).  Fitted on random
-# nets with n = 3..16 and k = 1, 2, 3, n/2+1, n+1 states, float links and
-# exact links of denominator <= 100.  The flow is chosen from n = 13 / 14 /
-# 15 in float for k = 1 / 2 / n+1; in exact arithmetic always for k = 1,
-# and from n = 8 / 10 for k = 2 / n+1 (and at n <= 4 / 2, where the scan's
-# set-up dominates).
-_SCAN_FIXED_S = {False: 0.0, True: 1e-4}
-_SCAN_UNIT_S = {False: 8e-9, True: 1.5e-7}
+# Estimated seconds, used only to pick the cheaper route for a float rate.
+# The float scan costs about one unit per cut and state, plus two per cut
+# for the tables and the argmin.  The flow runs on Python ints and costs
+# about one unit per relay and state (the threshold graph has up to 2nk
+# chain nodes).  Fitted on random nets with n = 3..16 and k = 1, 2, 3,
+# n/2+1, n+1 states: the flow is chosen from n = 13 / 14 / 15 for
+# k = 1 / 2 / n+1.
+_SCAN_UNIT_S = 8e-9
 _FLOW_UNIT_S = 13e-6
 
 
-def _scan_is_cheaper(n: int, k: int, exact: bool) -> bool:
-    """Whether scanning every cut under a ``k``-state schedule is estimated
-    to cost less than one s-t min cut on the threshold graph."""
-    scan = _SCAN_FIXED_S[exact] + _SCAN_UNIT_S[exact] * (1 << n) * (k + 2)
-    return scan <= _FLOW_UNIT_S * n * k
+def _scan_is_cheaper(n: int, k: int) -> bool:
+    """Whether scanning every cut in float under a ``k``-state schedule is
+    estimated to cost less than one s-t min cut on the threshold graph."""
+    return _SCAN_UNIT_S * (1 << n) * (k + 2) <= _FLOW_UNIT_S * n * k
 
 
 def _float_tol(value: LinkValue) -> float:
@@ -368,9 +358,9 @@ def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
     The flow runs once, in either arithmetic, on Python ints: the links and
     the probabilities are scaled by the lcm of their denominators, which is
     exact for floats too (each is a dyadic rational).  So ``min_cut`` is the
-    lowest minimizer of the exact values of the inputs.  Exact mode returns
-    the flow value over the scale; float mode returns the cut's value summed
-    in float as the scan sums it.
+    lowest minimizer of the exact values of the inputs, and the rate is the
+    flow value over the scale: a ``Fraction`` when exact, else that ratio
+    rounded once to a float (Python's int division rounds correctly).
     """
     n = net.n
     links, scale = _scaled_links(net.uplinks + net.downlinks)
@@ -378,10 +368,7 @@ def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
     value, cut = _min_cut(n, links[:n], links[n:], list(zip(sched.probs, weights)))
     if value == UNBOUNDED:
         return RateValue(UNBOUNDED, 0)
-    if exact:
-        return RateValue(Fraction(value, scale * d), cut)
-    up, down = [float(v) for v in net.uplinks], [float(v) for v in net.downlinks]
-    return RateValue(_cut_rate(up, down, [(s, float(p)) for s, p in sched.items()], cut), cut)
+    return RateValue(Fraction(value, scale * d) if exact else value / (scale * d), cut)
 
 
 def _min_cut(
@@ -422,24 +409,6 @@ def _min_cut(
     return value, sum(1 << k for k in range(n) if sink_side[k + 2])
 
 
-def _cut_rate(
-    up: Sequence[LinkValue],
-    down: Sequence[LinkValue],
-    items: Iterable[tuple[int, LinkValue]],
-    cut: int,
-) -> LinkValue:
-    """Scheduled value of one cut, summed in the order and with the
-    operations of :func:`_cut_values`, so that a float result is bitwise
-    the scan's."""
-    n = len(up)
-    acc: LinkValue = 0
-    for s, p in items:
-        best_l = max((up[k] for k in range(n) if cut >> k & 1 and not s >> k & 1), default=0)
-        best_r = max((down[k] for k in range(n) if s >> k & 1 and not cut >> k & 1), default=0)
-        acc += (best_l + best_r) * p
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Full-duplex capacity
 # ---------------------------------------------------------------------------
@@ -454,33 +423,34 @@ def fd_capacity(net: DiamondNetwork) -> CapacityResult:
     each giving the cut ``{i : downlink_i > t}`` worth its best uplink plus
     t, and ends with the cut of all relays.
 
-    ``tight_cuts`` are the threshold cuts at the minimum, ascending: exact
-    ties when every link is exact, else within ``ROUNDOFF`` (scaled).  They
-    are a nonempty subset of all minimizing cuts: a relay that can sit on
-    either side of a minimum cut is listed on one side only.  An infinite
-    value reports the single cut 0.
+    The scan runs on the links as integers over their lcm scale (see
+    :func:`_scaled_links`), exact for floats too.  The value is a
+    ``Fraction`` when every link is exact, else that value rounded once to
+    a float.  ``tight_cuts`` are the threshold cuts at the minimum,
+    ascending: the exact ties.  They are a nonempty subset of all
+    minimizing cuts: a relay that can sit on either side of a minimum cut
+    is listed on one side only.  An infinite value reports the single
+    cut 0.
     """
     exact = _net_is_exact(net)
-    up = [_scalar(v, exact) for v in net.uplinks]
-    down = [_scalar(v, exact) for v in net.downlinks]
-    best_up, cut = _scalar(0, exact), 0
-    cands: list[tuple[LinkValue, int]] = []  # (value, cut mask)
+    links, scale = _scaled_links(net.uplinks + net.downlinks)
+    up, down = links[:net.n], links[net.n:]
+    best_up, cut = 0, 0
+    cands: list[tuple[int, int]] = []  # (scaled value, cut mask)
     prev = None
     for k in sorted(range(net.n), key=down.__getitem__, reverse=True):
         if down[k] != prev:
             prev = down[k]
-            # Never inf + a finite link: an exact one may not fit a float.
-            unbounded = is_unbounded(best_up) or is_unbounded(prev)
-            cands.append((UNBOUNDED if unbounded else best_up + prev, cut))
+            cands.append((best_up + prev, cut))
         best_up = max(best_up, up[k])
         cut |= 1 << k
     cands.append((best_up, cut))
-    value = min(v for v, _ in cands)
-    if is_unbounded(value):
-        tight: tuple[int, ...] = (0,)
+    low = min(v for v, _ in cands)
+    if low == UNBOUNDED:
+        value, tight = UNBOUNDED, (0,)
     else:
-        tol = 0 if exact else _float_tol(value)
-        tight = tuple(sorted(a for v, a in cands if v <= value + tol))
+        value = Fraction(low, scale) if exact else low / scale
+        tight = tuple(sorted(a for v, a in cands if v == low))
     return CapacityResult(
         value=value,
         optimal_schedule=None,
@@ -497,7 +467,10 @@ def fd_capacity_fast(net: DiamondNetwork) -> LinkValue:
 def single_relay_capacity(l: LinkValue, r: LinkValue) -> LinkValue:
     """HD capacity of a one-relay network in closed form: l*r/(l+r), with 0
     when both links are 0 and the natural limits when a link is unbounded
-    (the finite link's value, or unbounded if both are)."""
+    (the finite link's value, or unbounded if both are).  It is computed
+    once on the links as integers over their common scale, exact for floats
+    too: a ``Fraction`` when both links are exact, else rounded once to a
+    float."""
     _check_link(l, "uplink")
     _check_link(r, "downlink")
     if is_unbounded(l) and is_unbounded(r):
@@ -506,11 +479,11 @@ def single_relay_capacity(l: LinkValue, r: LinkValue) -> LinkValue:
         return r
     if is_unbounded(r):
         return l
-    if l + r == 0:
+    (a, b), scale = _integers((l, r))
+    if a + b == 0:
         return 0
-    if _is_exact(l) and _is_exact(r):
-        return Fraction(l) * Fraction(r) / (Fraction(l) + Fraction(r))
-    return float(l) * float(r) / (float(l) + float(r))
+    num, den = a * b, scale * (a + b)
+    return Fraction(num, den) if _is_exact(l) and _is_exact(r) else num / den
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@
   than reading the cut mixture off the schedule LP's prices, and certifies
   its value from that mixture by a reference scan over every state.
 * :func:`dense_fd_capacity` is the full-duplex minimum over all ``2**n``
-  cuts, with every tight cut: the reference :func:`hddiamond.fd_capacity`'s
-  threshold scan is checked against (:func:`fd_mismatch`).
+  cuts of the links' exact values, with every exactly tight cut and the
+  value rounded once for float links: the reference
+  :func:`hddiamond.fd_capacity`'s integer threshold scan is checked against
+  (:func:`fd_mismatch`).  It reads the reference tables, so it shares no
+  code with that scan.
 * :func:`cold_exhaustive` is exhaustive selection as a plain loop: every
   size-k subnetwork solved from scratch, none skipped.
 * :func:`round_by_round_kept` is worst-drop selection's relay choice as one
@@ -51,12 +54,9 @@ from hddiamond.capacity import (
     _check_arithmetic,
     _clean_weights,
     _effective_guard,
-    _float_tol,
     _net_is_exact,
     _normalized_floor_lp,
-    _tables,
     _unit_scaled,
-    _unscaled,
 )
 from hddiamond.selection import _ratio
 from hddiamond.simplex import _EPS_ZERO_RHS, _TOL
@@ -172,23 +172,28 @@ def dual_capacity(
 
 def dense_fd_capacity(net: DiamondNetwork) -> CapacityResult:
     """Full-duplex cut-set capacity: min over cuts A of (best uplink in A +
-    best downlink outside A).  Enumerates all ``2**n`` cuts, so past the
-    relay guard of :func:`hd_capacity` it raises :class:`GuardExceeded`.
+    best downlink outside A), on the exact values of the links.  The value
+    is a ``Fraction`` when every link is exact, else rounded once to a
+    float; the tight cuts are the exact ties.  Enumerates all ``2**n``
+    cuts, so past the relay guard of :func:`hd_capacity` it raises
+    :class:`GuardExceeded`.
     """
     g = _effective_guard()
     if net.n > g:
         raise GuardExceeded(f"fd_capacity on {net.n} relays exceeds guard {g}")
+    maxl, maxr = reference_tables(net, True)
+    # Never inf + a finite Fraction: one past the float range overflows.
+    vals = [UNBOUNDED if is_unbounded(l) or is_unbounded(r) else l + r
+            for l, r in zip(maxl, maxr[::-1])]
+    low = min(vals)
     exact = _net_is_exact(net)
-    maxl, maxr, scale = _tables(net, exact)
-    vals = maxl + maxr[::-1]
-    low = vals.min()
-    if low == UNBOUNDED:
-        tight: tuple[int, ...] = (0,)
+    if is_unbounded(low):
+        value, tight = UNBOUNDED, (0,)
     else:
-        tol = 0 if exact else _float_tol(low)
-        tight = tuple(int(a) for a in np.flatnonzero(vals <= low + tol))
+        value = low if exact else float(low)
+        tight = tuple(a for a, v in enumerate(vals) if v == low)
     return CapacityResult(
-        value=_unscaled(low, scale, exact),
+        value=value,
         optimal_schedule=None,
         tight_cuts=tight,
         arithmetic="rational" if exact else "float",

@@ -62,6 +62,28 @@ class TestSingleRelay:
             res = hd_capacity(net, "rational")
             assert res.value == single_relay_capacity(l, r)
 
+    def test_property_float_is_the_exact_value_rounded_once(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        floats = st.floats(0, 1e300, allow_nan=False, allow_infinity=False)
+        links = st.one_of(floats, st.integers(0, 10**6), st.just(10**400))
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+        @hyp.given(x=floats, y=links, swap=st.booleans())
+        @hyp.example(x=0.5, y=10**400, swap=False)
+        @hyp.example(x=0.5, y=10**400, swap=True)
+        def check(x, y, swap):
+            l, r = (y, x) if swap else (x, y)
+            got = single_relay_capacity(l, r)
+            exact = F(l) * F(r) / (F(l) + F(r)) if l or r else F(0)
+            assert got == float(exact)
+            assert type(got) is float or got == 0
+
+        check()
+        assert single_relay_capacity(0.5, 10**400) == 0.5
+        assert single_relay_capacity(10**400, 1) == F(10**400, 10**400 + 1)
+
 
 class TestCutStateValue:
     def test_components(self):
@@ -190,16 +212,17 @@ class TestFlowRateMatchesScan:
             assert type(got.value) is type(want.value)
 
     def assert_float_match(self, net, sched):
-        want, vals = self.scan(net, sched)
+        want, _ = self.scan(net, sched)
         assert self.library_scan(net, sched) == want  # the same float operations
         got = self.flow(net, sched)
         assert type(got.value) is float
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
         # The flow runs on the exact values of the float inputs: its cut is
-        # their lowest minimizer, rated in float as the scan rates it.
+        # their lowest minimizer, and its value that cut's exact rate
+        # rounded once.
         exact_vals = reference_scan(net.n, *reference_tables(net, True), sched.items())
         assert got.min_cut == int(np.argmin(exact_vals))
-        assert got.value == vals[got.min_cut]
+        assert got.value == float(exact_vals[got.min_cut])
 
     def test_exact_random_links(self):
         rng = random.Random(5)
@@ -261,7 +284,27 @@ class TestFlowRateMatchesScan:
         assert value(256) == value(33024)
         got = fixed_schedule_rate(net, sched)
         assert got == self.flow(net, sched)
-        assert got == RateValue(capacity._cut_rate(net.uplinks, net.downlinks, sched.items(), 256), 256)
+        assert got == RateValue(float(value(256)), 256)
+
+    def test_exact_rates_build_no_table(self, monkeypatch):
+        # Exact rates always take the min cut, at every size and state count.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 2^n table was built")
+
+        rng = random.Random(9)
+        cases = []
+        for n in range(1, 9):
+            for k in range(1, n + 2):
+                net, _ = self.draw(rng, n, self.EXACT_LINKS, True)
+                weights = [rng.randint(1, 4) for _ in range(k)]
+                states = rng.sample(range(1 << n), k)
+                sched = Schedule(n, {s: F(w, sum(weights)) for s, w in zip(states, weights)})
+                cases.append((net, sched, self.scan(net, sched)[0]))
+        monkeypatch.setattr(capacity, "_tables", refuse)
+        for net, sched, want in cases:
+            got = fixed_schedule_rate(net, sched)
+            assert got == want
+            assert type(got.value) is type(want.value)
 
     def test_max_flow_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -409,6 +452,15 @@ class TestFullDuplex:
         assert dense_fd_capacity(net).tight_cuts == (0, 2, 3)
         res = fd_capacity(net)
         assert (res.value, res.tight_cuts) == (1, (0, 3))
+
+    def test_float_tight_cuts_are_the_exact_ties(self):
+        # 0.5 + 0.2 rounds to the float 0.7, but the exact values of those
+        # floats sum past it: cut 2 ties the minimum only in float sums.
+        net = DiamondNetwork((0.7, 0.5), (0.2, 0.7))
+        assert 0.5 + 0.2 == 0.7 and F(0.5) + F(0.2) > F(0.7)
+        res = fd_capacity(net)
+        assert (res.value, res.tight_cuts, res.arithmetic) == (0.7, (0, 3), "float")
+        assert fd_mismatch(net) is None
 
     def test_unbounded_beside_a_link_past_the_float_range(self):
         # The cut of relay 1 pairs an unbounded uplink with a downlink of

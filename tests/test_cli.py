@@ -35,6 +35,14 @@ def oversized(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def mixed(tmp_path):
+    """Three relays: a link too large for a float beside float links."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"l": [10**400, 0.5, 1], "r": [1, 10**400, 0.5]}))
+    return str(path)
+
+
 class TestCapacity:
     def test_hd_json_shape(self, capsys, worst4):
         code, out, _ = run(capsys, "capacity", "--network", worst4)
@@ -195,6 +203,13 @@ class TestCapacity:
         assert code == 0
         assert F(json.loads(out)["value"]) == F(2 * 10**400, 10**400 + 1)
 
+    def test_fd_mode_on_oversized_and_float_links(self, capsys, mixed):
+        # The threshold scan runs on the links' exact values and rounds once.
+        code, out, _ = run(capsys, "capacity", "--network", mixed, "--mode", "fd")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["value"], data["tight_cuts"]) == (1.5, ["010"])
+
 
 class TestSelect:
     def test_exact_exhaustive_with_links_past_the_float_range(self, capsys, tmp_path):
@@ -219,15 +234,33 @@ class TestSelect:
         assert json.loads(out)["fraction"] == 0.5
 
     @pytest.mark.parametrize("strategy", ["iterative", "schedule-reuse"])
-    def test_oversized_link_rate_strategies(self, capsys, oversized, strategy):
-        # Their fixed-schedule rates have no exact fallback in float mode.
+    def test_oversized_link_rate_strategies(self, capsys, oversized, mixed, strategy):
+        # Their fixed-schedule rates have no exact fallback in float mode:
+        # the float scan needs float tables, which 10**400 cannot fill.
         argv = ("select", "--network", oversized, "-k", "1", "--strategy", strategy)
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "--exact" in err
+        mixed_argv = ("select", "--network", mixed, "-k", "2", "--strategy", strategy)
+        for args in (argv, mixed_argv):
+            code, out, err = run(capsys, *args)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and "--exact" in err
         code, out, _ = run(capsys, *argv, "--exact")
         assert code == 0
         assert F(json.loads(out)["full_value"]) == F(2 * 10**400, 10**400 + 1)
+
+    @pytest.mark.parametrize("strategy", ["exhaustive", "worst-drop"])
+    def test_oversized_and_float_links_capacity_strategies(self, capsys, mixed, strategy):
+        # Single-relay and FD values run on the links' exact values, so float
+        # mode answers: the --exact report's numbers, rounded.
+        argv = ("select", "--network", mixed, "-k", "1", "--strategy", strategy)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["selected"], data["value"], data["full_value"]) == ([1], 1.0, 1.5)
+        code, out, _ = run(capsys, *argv, "--exact")
+        assert code == 0
+        exact = json.loads(out)
+        assert exact["selected"] == [1]
+        assert float(F(exact["value"])) == 1.0 and float(F(exact["full_value"])) == 1.5
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_pin_past_the_lp_guard(self, capsys, tmp_path, strategy):
