@@ -206,6 +206,10 @@ def _tables(net: DiamondNetwork, exact: bool) -> tuple[np.ndarray, np.ndarray, i
     return build(links[:n]), build(links[n:]), scale
 
 
+#: Cells of one best-response scan block: a few states' rows at once.
+_SCAN_BLOCK_CELLS = 4096
+
+
 def _cut_values(
     n: int,
     maxl: np.ndarray,
@@ -223,23 +227,32 @@ def _cut_values(
     With the two tables swapped, the same scan gives the value of every
     state under a (cut, prob) mixture, since ``value(A, s) = maxl[A & ~s] +
     maxr[s & ~A]`` is symmetric in that swap.
+
+    The terms are gathered a block of states at a time, and summed in the
+    items' order, one at a time, as a loop over the states would.
     """
-    size = 1 << n
-    cuts = np.arange(size)
+    cuts = np.arange(1 << n)
+    others = ~cuts
+    items = list(items)
+    states = np.array([s for s, _ in items], dtype=np.int64)[:, None]
     if maxl.dtype == object:
-        items = list(items)
         weights, d = _integers(p for _, p in items)
-        items = [(s, w) for (s, _), w in zip(items, weights)]
+        weights = np.array(weights, dtype=object)[:, None]
         scale *= d
     else:
-        items = [(s, np.float64(p)) for s, p in items]
-    acc = np.full(size, maxl[0], dtype=maxl.dtype)  # the tables' zero
-    for s, w in items:
-        # In place, so that at most one term array is alive besides acc.
-        term = maxl[cuts & (size - 1 - s)]
-        term += maxr[s & (size - 1 - cuts)]
-        term *= w
-        acc += term
+        weights = np.array([p for _, p in items], dtype=np.float64)[:, None]
+    # Blocks of up to _SCAN_BLOCK_CELLS cells, one row per state.  The
+    # running sum enters the block's first row, and numpy reduces along
+    # axis 0 one row after another, so the float sums are bitwise a loop's.
+    rows = max(1, _SCAN_BLOCK_CELLS >> n)
+    acc = np.full(1 << n, maxl[0], dtype=maxl.dtype)  # the tables' zero
+    for i in range(0, len(items), rows):
+        s = states[i:i + rows]
+        block = maxl[cuts & ~s]
+        block += maxr[s & others]
+        block *= weights[i:i + rows]
+        block[0] += acc
+        acc = block[0] if len(block) == 1 else np.add.reduce(block, axis=0)
     return acc, scale
 
 
@@ -292,19 +305,20 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
 
     Exact inputs always solve one s-t minimum cut (see :func:`_flow_rate`).
     Float inputs scan all ``2**n`` cuts in float when that is estimated to
-    be less work, and else take the same min cut, whose value is the exact
-    rate rounded once.  The scan reports the lowest mask of least float sum,
-    the min cut the lowest minimizer of the exact values of the float
-    inputs; on near-ties the two can differ.
+    be less work and every link fits a float, and else take the same min
+    cut, whose value is the exact rate rounded once.  The scan reports the
+    lowest mask of least float sum, the min cut the lowest minimizer of the
+    exact values of the float inputs; on near-ties the two can differ.
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is over {sched.n} relays, network has {net.n}")
     exact = _net_is_exact(net) and sched.is_exact
     if not exact and _scan_is_cheaper(net.n, len(sched.probs)):
-        maxl, maxr, _ = _tables(net, False)
-        vals, _ = _cut_values(net.n, maxl, maxr, 1, sched.items())
-        cut = int(np.argmin(vals))
-        return RateValue(float(vals[cut]), cut)
+        with suppress(OverflowError):  # a link too large for the float tables
+            maxl, maxr, _ = _tables(net, False)
+            vals, _ = _cut_values(net.n, maxl, maxr, 1, sched.items())
+            cut = int(np.argmin(vals))
+            return RateValue(float(vals[cut]), cut)
     return _flow_rate(net, sched, exact)
 
 
@@ -652,6 +666,18 @@ def hd_capacity(
     The relay guard caps the relay count (16, or the HDDIAMOND_LP_GUARD
     environment variable); past it, raise instead of grinding.
     """
+    return _hd_capacity(net, arithmetic, seeds)[0]
+
+
+def _hd_capacity(
+    net: DiamondNetwork,
+    arithmetic: str,
+    seeds: tuple[Iterable[int], Iterable[int]],
+) -> tuple[CapacityResult, dict[int, LinkValue]]:
+    """:func:`hd_capacity` and the adversary's side of the same solve: the
+    final LP's cut mixture ``{cut: price}`` of the solve that gave the
+    result (exact prices after an escalation or in rational mode).  It is
+    empty when no LP ran, i.e. when the value is unbounded."""
     exact = _check_arithmetic(arithmetic)
     n = net.n
     g = _effective_guard()
@@ -659,13 +685,13 @@ def hd_capacity(
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
     states, cuts = (_checked_masks(masks, n) for masks in seeds)
     try:
-        res, states, cuts = _solve(net, False, states, cuts)
+        res, states, mixture = _solve(net, False, states, cuts)
         if not exact:
-            return res
+            return res, mixture
     except (OverflowError, SolverFailure):
-        states, cuts = (), ()
-    res = _solve(net, True, states, cuts)[0]
-    return res if exact else _as_float(res)
+        states, mixture = (), {}
+    res, _, mixture = _solve(net, True, states, mixture)
+    return (res if exact else _as_float(res)), mixture
 
 
 def _checked_masks(masks: Iterable[int], n: int) -> tuple[int, ...]:
@@ -695,6 +721,55 @@ def subnetwork_seeds(
     return restrict(full.optimal_schedule.support), restrict(full.tight_cuts)
 
 
+def _subnetwork_ceilings(
+    net: DiamondNetwork, keeps: Sequence[int], mixture: dict[int, LinkValue], exact: bool
+) -> list[LinkValue]:
+    """A certified ceiling on the HD capacity of each subnetwork of ``net``
+    kept by the masks ``keeps`` (all of one size k), from ``net``'s cut
+    mixture ``mu`` (see :func:`_hd_capacity`): with T the transmitting
+    relays of a state of K,
+
+        ceiling(K) = max over T of g_L(K - T) + g_R(T),
+        g_L(L) = sum_A mu_A * maxl[A & L],  g_R(T) = sum_A mu_A * maxr[T & ~A].
+
+    Each cut A of the mixture restricted to K is a cut of K's own game with
+    finite FD value, and a relay that leaves lowers no payoff, so this is
+    the best state value against a cut mixture of K's game: at least K's
+    capacity.  It is evaluated on the ``C(n, k) * 2^k`` (listen, transmit)
+    splits of the masks only, never on all ``2^n`` masks, in the given
+    arithmetic: ``Fraction``s when exact, else floats from the mixture
+    normalized to sum 1.  In float, a link too large for a float raises
+    ``OverflowError`` (from the tables).
+    """
+    maxl, maxr, scale = _tables(net, exact)
+    cuts = np.array(list(mixture))[:, None]
+    if exact:
+        ints, d = _integers(mixture.values())
+        weights = np.array(ints, dtype=object)[:, None]
+    else:
+        weights = np.array([float(p) for p in mixture.values()])
+        weights, d = (weights / weights.sum())[:, None], 1
+    keeps = np.array(keeps)
+    # Every subset T of each mask, one column per mask, built by doubling
+    # over the masks' relays (the j-th set bit of every mask at once).
+    relays = np.nonzero((keeps[:, None] >> np.arange(net.n)) & 1)[1].reshape(len(keeps), -1)
+    transmit = np.zeros((1, len(keeps)), dtype=np.int64)
+    for bit in (1 << relays).T:
+        transmit = np.concatenate([transmit, transmit | bit])
+    listen = keeps ^ transmit
+
+    def mixed(points: np.ndarray, payoff) -> np.ndarray:
+        # g at each distinct point once, gathered back onto the splits.
+        seen = np.zeros(1 << net.n, dtype=bool)
+        seen[points] = True
+        where = np.cumsum(seen) - 1
+        return (payoff(np.flatnonzero(seen)) * weights).sum(axis=0)[where[points]]
+
+    ceilings = (mixed(listen, lambda ls: maxl[cuts & ls])
+                + mixed(transmit, lambda ts: maxr[ts & ~cuts])).max(axis=0)
+    return [_unscaled(c, scale * d, exact) for c in ceilings]
+
+
 def _as_float(res: CapacityResult) -> CapacityResult:
     """An exact result restated in float."""
     probs = {s: float(p) for s, p in res.optimal_schedule.probs.items()}
@@ -708,14 +783,15 @@ def _solve(
     exact: bool,
     states: Iterable[int] = (),
     cuts: Iterable[int] = (),
-) -> tuple[CapacityResult, tuple[int, ...], tuple[int, ...]]:
+) -> tuple[CapacityResult, tuple[int, ...], dict[int, LinkValue]]:
     """The double-oracle loop of :func:`hd_capacity` in one arithmetic.
 
     ``states`` and ``cuts`` seed the pools: they only add entries to the
     default start (seeded cuts with infinite FD value are dropped), and the
     loop stops on the same certificate whatever the seeds.  Returns the
-    result with the final support of both mixtures: the states of positive
-    weight and the cuts of positive price (both empty when no LP ran).
+    result, the states of positive weight and the final cut mixture as
+    ``{cut: price}`` over the cuts of positive price (both empty when no LP
+    ran); iterating the mixture gives its support.
 
     The loop ends with a certified interval: the schedule's rate over the
     kept cuts (the floor, returned as the value) and the largest value any
@@ -738,7 +814,7 @@ def _solve(
             tight_cuts=(0,),
             arithmetic=arith,
         )
-        return unbounded, (), ()
+        return unbounded, (), {}
 
     # A best response joins its pool only when it beats the current
     # mixture's value by more than this; the loop's own threshold.
@@ -826,7 +902,7 @@ def _solve(
         tight_cuts=tight,
         arithmetic=arith,
     )
-    return result, tuple(probs), tuple(cut_probs)
+    return result, tuple(probs), cut_probs
 
 
 def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
@@ -844,7 +920,11 @@ def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:
     modular there, hence fixed by one maximal chain, of at most n+1 cuts.
     A float solve proves no exact certificate, hence the fallback.
     """
-    res = hd_capacity(net)
+    return _sparse_schedule(net, hd_capacity(net))
+
+
+def _sparse_schedule(net: DiamondNetwork, res: CapacityResult) -> Schedule | None:
+    """:func:`sparsify_schedule` from ``res``, ``net``'s float ``hd_capacity``."""
     if is_unbounded(res.value):
         return None
     if len(res.optimal_schedule.support) <= net.n + 1:

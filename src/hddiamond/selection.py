@@ -13,8 +13,9 @@ Four strategies pick k of the n relays:
   current one).
 * ``schedule-reuse`` — iterative's k = n-1 case, a single round: the kept
   rate is at least (n-1)/n of the full value.
-* ``exhaustive``   — solve every size-k subnetwork and keep the best.
-  Dominates everything above; its guarantee combines the k/n rate floor
+* ``exhaustive``   — the best size-k subnetwork, visited best first by
+  certified ceilings and solved only where it could win.  Dominates
+  everything above; its guarantee combines the k/n rate floor
   with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).
 
 Every strategy gets the full network's solve from :func:`_certified_capacity`.
@@ -33,10 +34,11 @@ the schedule is the optimal one).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from ._tolerance import AGREE, SETTLED, _is_exact, below
 from .capacity import (
@@ -44,7 +46,9 @@ from .capacity import (
     _effective_guard,
     _exact_links,
     _float_tol,
+    _hd_capacity,
     _net_is_exact,
+    _subnetwork_ceilings,
     fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
@@ -146,24 +150,27 @@ def guarantee_bound(strategy: str, n: int, k: int) -> Fraction:
     return max(Fraction(k, n), floor)
 
 
-def _certified_capacity(net: DiamondNetwork, arithmetic: str) -> CapacityResult:
-    """The full network's solve behind every strategy: the game LP's result.
+def _certified_capacity(
+    net: DiamondNetwork, arithmetic: str
+) -> tuple[CapacityResult, dict[int, LinkValue] | None]:
+    """The full network's solve behind every strategy: the game LP's result
+    and its cut mixture (see :func:`capacity._hd_capacity`).
 
     Where the LP guard refuses, rational mode on exact links tries the
     two-sided pin instead: a two-phase schedule's rate from below, the FD
     capacity from above.  If they meet at a value C, the FD result carrying
-    that schedule is returned.  It certifies like the LP's: each FD-tight
-    cut's scheduled value is at most its FD value C and at least the
-    schedule's rate C, so the cut is tight for the schedule too.  Otherwise
-    the refusal stands."""
+    that schedule is returned, with no mixture.  It certifies like the LP's:
+    each FD-tight cut's scheduled value is at most its FD value C and at
+    least the schedule's rate C, so the cut is tight for the schedule too.
+    Otherwise the refusal stands."""
     try:
-        return hd_capacity(net, arithmetic)
+        return _hd_capacity(net, arithmetic, ((), ()))
     except GuardExceeded:
         if arithmetic == "rational" and net.n >= 2 and _net_is_exact(net):
             sched = gen_two_phase_schedule(net.n)
             fd = fd_capacity(net)
             if fixed_schedule_rate(net, sched).value == fd.value:
-                return replace(fd, optimal_schedule=sched)
+                return replace(fd, optimal_schedule=sched), None
         raise
 
 
@@ -177,8 +184,21 @@ def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
     return below(fd, best, 0 if _is_exact(fd) and _is_exact(best) else _float_tol(fd))
 
 
+def _ceiling_rules_out(ceiling: LinkValue, best: LinkValue) -> bool:
+    """Whether a subnetwork's ceiling shows it cannot beat the incumbent
+    value ``best``.  Exact values compare strictly.  In float, a schedule's
+    probabilities sum to 1 only within ``AGREE``, so a float value can sit
+    that far above its exact one, and the ceiling must fall short by more."""
+    exact = _is_exact(ceiling) and _is_exact(best)
+    return below(ceiling, best, 0 if exact else AGREE * max(1.0, abs(ceiling)))
+
+
 def _best_subnetwork(
-    net: DiamondNetwork, masks: Iterable[int], full: CapacityResult, arithmetic: str
+    net: DiamondNetwork,
+    masks: Sequence[int],
+    full: CapacityResult,
+    mixture: dict[int, LinkValue] | None,
+    arithmetic: str,
 ) -> tuple[LinkValue, tuple[int, ...]]:
     """The largest capacity among the subnetworks of ``net`` kept by
     ``masks``, with its relay labels; ties keep the first mask.
@@ -186,23 +206,45 @@ def _best_subnetwork(
     ``full`` is ``net``'s own solve: the mask of every relay reuses it, and
     every other subnetwork solve is seeded from it (see
     :func:`subnetwork_seeds`).  A subnetwork whose FD value is below the
-    incumbent is skipped unsolved, since it cannot win.  Neither changes
+    incumbent is skipped unsolved, since it cannot win.
+
+    With more than one mask and ``full``'s cut mixture at hand, each mask
+    also gets a certified ceiling from that mixture
+    (:func:`capacity._subnetwork_ceilings`).  The masks are then visited
+    best first, by descending ceiling (ties in the given order), and the
+    visit stops at the first ceiling below the incumbent: no later mask can
+    win.  A solved mask that ties the incumbent replaces it only when it
+    comes earlier in the given order.  Without a mixture (the pin, an
+    unbounded full value, or a link too large for float tables in float
+    mode) the masks are visited in the given order.  None of this changes
     the answer.
     """
     whole = (1 << net.n) - 1
-    best: tuple[LinkValue, tuple[int, ...]] | None = None
-    for keep in masks:
+    ceilings = None
+    if len(masks) > 1 and mixture:
+        with suppress(OverflowError):
+            ceilings = _subnetwork_ceilings(net, masks, mixture, arithmetic == "rational")
+    order = range(len(masks))
+    if ceilings is not None:
+        order = sorted(order, key=ceilings.__getitem__, reverse=True)  # stable
+    best: tuple[LinkValue, int, tuple[int, ...]] | None = None
+    for i in order:
+        keep = masks[i]
         if keep == whole:
             value, labels = full.value, net.labels
         else:
+            if best is not None and ceilings is not None and _ceiling_rules_out(
+                ceilings[i], best[0]
+            ):
+                break
             sub = net.subnetwork(keep)
             if best is not None and _fd_rules_out(sub, best[0]):
                 continue
             value = hd_capacity(sub, arithmetic, seeds=subnetwork_seeds(full, keep)).value
             labels = sub.labels
-        if best is None or value > best[0]:
-            best = value, labels
-    return best
+        if best is None or value > best[0] or value == best[0] and i < best[1]:
+            best = value, i, labels
+    return best[0], best[2]
 
 
 def worst_relay_index(net: DiamondNetwork) -> int:
@@ -253,8 +295,8 @@ def drop_worst(
     gone.update([i for i in _by_single_capacity(net) if i not in gone][: n - k - len(gone)])
     keep = sum(1 << i for i in range(n) if i not in gone)
 
-    full = _certified_capacity(net, arithmetic)
-    value, selected = _best_subnetwork(net, [keep], full, arithmetic)
+    full, mixture = _certified_capacity(net, arithmetic)
+    value, selected = _best_subnetwork(net, [keep], full, mixture, arithmetic)
     notes: tuple[str, ...] = ()
     if forced:
         bound = None
@@ -324,7 +366,7 @@ def select_k_iterative(
             raise ValueError("rational selection needs an exact schedule, got float probabilities")
         net = _exact_links(net)
     if schedule is None:
-        schedule = _certified_capacity(net, arithmetic).optimal_schedule
+        schedule = _certified_capacity(net, arithmetic)[0].optimal_schedule
     full_rate = fixed_schedule_rate(net, schedule).value
 
     current, cur_sched = net, schedule
@@ -347,12 +389,15 @@ def select_k_exhaustive(
     *,
     arithmetic: str = "float",
 ) -> SelectionReport:
-    """Solve every size-k subnetwork and keep the best (ties: smallest
-    relay set).  Guarded on estimated work, before anything is solved: for
-    ``k < n`` the subnetworks' ``C(n, k) * 2^k`` scan cells may not exceed
-    the ``2^g`` of one scan at the relay guard g (16, or HDDIAMOND_LP_GUARD).
-    At ``k == n`` only the full solve's guard applies, and the full solve
-    is the answer.  See :func:`_best_subnetwork` for the seeds and skips.
+    """The best size-k subnetwork (ties: smallest relay set), as if every
+    one were solved.  Guarded on estimated work, before anything is
+    solved: for ``k < n`` the subnetworks' ``C(n, k) * 2^k`` scan cells may
+    not exceed the ``2^g`` of one scan at the relay guard g (16, or
+    HDDIAMOND_LP_GUARD); the same splits bound the one pass that computes
+    every subnetwork's ceiling.  At ``k == n`` only the full solve's guard
+    applies, and the full solve is the answer.  See
+    :func:`_best_subnetwork` for the seeds, the best-first visit by
+    ceiling and the skips.
     """
     n = net.n
     bound = guarantee_bound("exhaustive", n, k)
@@ -362,9 +407,9 @@ def select_k_exhaustive(
             f"select_k_exhaustive on {n} relays with k={k} exceeds guard {g}: "
             f"C({n},{k})*2^{k} = {cells} subnetwork cells > 2^{g}"
         )
-    full = _certified_capacity(net, arithmetic)
-    masks = (mask_from_relays(c, n) for c in combinations(range(1, n + 1), k))
-    value, selected = _best_subnetwork(net, masks, full, arithmetic)
+    full, mixture = _certified_capacity(net, arithmetic)
+    masks = [mask_from_relays(c, n) for c in combinations(range(1, n + 1), k)]
+    value, selected = _best_subnetwork(net, masks, full, mixture, arithmetic)
     return _report("exhaustive", "capacity", k, value, full.value, selected, bound)
 
 

@@ -41,9 +41,9 @@ import numpy as np
 from ._tolerance import ROUNDOFF, SETTLED, below
 from .capacity import (
     _effective_guard,
+    _sparse_schedule,
     fixed_schedule_rate,
     hd_capacity,
-    sparsify_schedule,
     subnetwork_seeds,
 )
 from .errors import GuardExceeded
@@ -369,8 +369,8 @@ def _suite_sparsify(trials: int, seed: int, n_max: int) -> SuiteReport:
     rep = SuiteReport("sparsify")
     rng = np.random.default_rng(seed)
     for label, n, net in _trials(rng, trials, n_max):
-        cap = hd_capacity(net).value
-        sched = sparsify_schedule(net)
+        res = hd_capacity(net)
+        cap, sched = res.value, _sparse_schedule(net, res)
         if sched is None:
             rep.record(label, False, "sparse schedule found", "None")
             continue

@@ -158,6 +158,17 @@ class TestFixedScheduleRate:
         assert approx.value == pytest.approx(float(exact.value), abs=1e-12)
         assert approx.min_cut == exact.min_cut
 
+    def test_link_past_the_float_range_rates_on_either_route(self):
+        # At n = 3 the float scan is the cheaper route, at n = 14 the min
+        # cut; the scan cannot build float tables for 10**400, so it gives
+        # way to the min cut and both sizes rate alike.
+        for n in (3, 14):
+            assert capacity._scan_is_cheaper(n, 2) == (n == 3)
+            net = DiamondNetwork((10**400,) + (0.5,) * (n - 1), (1,) + (0.5,) * (n - 1))
+            rate = fixed_schedule_rate(net, Schedule(n, {0: 0.5, (1 << n) - 1: 0.5}))
+            assert rate == RateValue(0.5, 0)
+            assert type(rate.value) is float
+
 
 class TestFlowRateMatchesScan:
     """Both routes of fixed_schedule_rate, the s-t min cut and the library's

@@ -235,14 +235,15 @@ class TestSelect:
 
     @pytest.mark.parametrize("strategy", ["iterative", "schedule-reuse"])
     def test_oversized_link_rate_strategies(self, capsys, oversized, mixed, strategy):
-        # Their fixed-schedule rates have no exact fallback in float mode:
-        # the float scan needs float tables, which 10**400 cannot fill.
+        # A float rate whose links cannot fill float tables takes the min
+        # cut on the links' exact values, so float mode answers too.
         argv = ("select", "--network", oversized, "-k", "1", "--strategy", strategy)
         mixed_argv = ("select", "--network", mixed, "-k", "2", "--strategy", strategy)
         for args in (argv, mixed_argv):
-            code, out, err = run(capsys, *args)
-            assert (code, out) == (2, "")
-            assert err.startswith("error:") and "--exact" in err
+            code, out, _ = run(capsys, *args)
+            assert code == 0
+            data = json.loads(out)
+            assert F(data["fraction"]) >= F(data["bound"]), data
         code, out, _ = run(capsys, *argv, "--exact")
         assert code == 0
         assert F(json.loads(out)["full_value"]) == F(2 * 10**400, 10**400 + 1)

@@ -4,10 +4,11 @@ import math
 import random
 from dataclasses import fields
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from hddiamond import selection
+from hddiamond import capacity, selection
 from hddiamond import (
     STRATEGIES,
     UNBOUNDED,
@@ -28,8 +29,24 @@ from hddiamond import (
     select_k_iterative,
     worst_relay_index,
 )
-from hddiamond._tolerance import SETTLED
+from hddiamond._tolerance import AGREE, SETTLED
+from hddiamond.network import mask_from_relays
 from oracles import cold_exhaustive, round_by_round_kept
+
+
+def count_solves(monkeypatch) -> list[int]:
+    """Record the relay count of every solve selection makes: the full
+    solve (``_hd_capacity``) and the subnetwork solves (``hd_capacity``)."""
+    calls = []
+    for name in ("hd_capacity", "_hd_capacity"):
+        real = getattr(selection, name)
+
+        def counting(net, *args, real=real, **kwargs):
+            calls.append(net.n)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(selection, name, counting)
+    return calls
 
 
 class TestGuaranteeBound:
@@ -320,6 +337,7 @@ class TestExhaustive:
 
         with monkeypatch.context() as m:
             m.setattr(selection, "hd_capacity", refuse)
+            m.setattr(selection, "_hd_capacity", refuse)
             with pytest.raises(
                 GuardExceeded, match=r"^select_k_exhaustive on 6 relays with k=3 "
             ):
@@ -403,46 +421,73 @@ class TestExhaustive:
         rep = select_k_exhaustive(net, 1, arithmetic="rational")
         assert rep.selected == (1,)
 
+    #: The pruned loop against the cold one: random nets and both families.
+    COLD_NETS = (
+        [gen_random(n, seed) for n in range(2, 10) for seed in range(3)]
+        + [gen(n) for gen in (gen_worst_case, gen_half_tight) for n in range(2, 9)]
+    )
+
     def test_rational_matches_cold_unpruned_loop(self):
-        nets = [gen_random(n, 0) for n in range(2, 9)]
-        nets += [gen(n) for gen in (gen_worst_case, gen_half_tight) for n in range(2, 7)]
-        for net in nets:
+        for net in self.COLD_NETS:
             for k in range(1, net.n + 1):
                 rep = select_k_exhaustive(net, k, arithmetic="rational")
                 assert rep == cold_exhaustive(net, k, "rational"), (net, k)
 
-    def test_float_matches_cold_unpruned_loop(self):
-        # Seeded float solves may differ from cold ones in the last bits.
-        for n in range(2, 9):
-            net = gen_random(n, 0)
+    def test_float_matches_cold_unpruned_loop(self, monkeypatch):
+        # Seeded float solves may differ from cold ones in the last bits, so
+        # two subnetworks of exactly equal capacity can swap places; the
+        # seeded loop without the ceilings must agree to the bit.
+        real = selection._certified_capacity
+        without_ceilings = lambda net, a: (real(net, a)[0], None)
+        exact = lambda net, relays: hd_capacity(net.subnetwork(relays), "rational").value
+        for net in self.COLD_NETS:
+            n = net.n
             for k in range(1, n + 1):
                 rep = select_k_exhaustive(net, k)
+                with monkeypatch.context() as m:
+                    m.setattr(selection, "_certified_capacity", without_ceilings)
+                    assert rep == select_k_exhaustive(net, k), (net, k)
                 cold = cold_exhaustive(net, k)
-                assert rep.selected == cold.selected, (n, k)
+                if rep.selected != cold.selected:
+                    assert exact(net, rep.selected) == exact(net, cold.selected), (net, k)
                 assert rep.full_value == cold.full_value
                 assert rep.value == pytest.approx(cold.value, rel=1e-12)
                 assert rep.fraction == pytest.approx(cold.fraction, rel=1e-12)
                 assert rep.bound == cold.bound
 
     def test_fd_bound_skips_solves(self, monkeypatch):
-        calls = []
-        real = selection.hd_capacity
-
-        def counting(net, *args, **kwargs):
-            calls.append(net.n)
-            return real(net, *args, **kwargs)
-
-        monkeypatch.setattr(selection, "hd_capacity", counting)
+        calls = count_solves(monkeypatch)
         net = gen_random(8, 0)
         for k in range(1, 8):
             calls.clear()
             select_k_exhaustive(net, k)
             assert calls[0] == 8 and len(calls) < 1 + math.comb(8, k), k
         # Every single relay of the half-tight family has capacity and FD
-        # value 1/2: a tie with the incumbent is never skipped.
+        # value 1/2: a tie with the incumbent is never skipped, by the FD
+        # value or by the ceiling.
         calls.clear()
         select_k_exhaustive(gen_half_tight(4), 1, arithmetic="rational")
         assert len(calls) == 1 + 4
+
+    def test_ceilings_halve_the_solves(self, monkeypatch):
+        # Summed over every k, best-first pruning by the ceilings solves at
+        # most half the subnetworks that the FD skip alone leaves.
+        calls = count_solves(monkeypatch)
+        nets = [gen_random(9, seed) for seed in range(3)]
+
+        def solves():
+            calls.clear()
+            for net in nets:
+                for k in range(1, 9):
+                    select_k_exhaustive(net, k)
+            return len(calls) - 8 * len(nets)  # less the full solves
+
+        pruned = solves()
+        real = selection._certified_capacity
+        monkeypatch.setattr(
+            selection, "_certified_capacity", lambda net, a: (real(net, a)[0], None)
+        )
+        assert 0 < pruned <= solves() / 2
 
     def test_fd_skip_on_links_past_the_float_range(self):
         # Both sides of the FD skip are exact, so it reads no float slack,
@@ -454,20 +499,56 @@ class TestExhaustive:
         assert rep.value == hd_capacity(net.subnetwork((1, 2)), "rational").value
 
     def test_k_equals_n_reuses_the_full_solve(self, monkeypatch):
-        calls = []
-        real = selection.hd_capacity
-
-        def counting(net, *args, **kwargs):
-            calls.append(net.n)
-            return real(net, *args, **kwargs)
-
-        monkeypatch.setattr(selection, "hd_capacity", counting)
+        calls = count_solves(monkeypatch)
         for arithmetic, one in (("float", 1.0), ("rational", 1)):
             for strategy in (select_k_exhaustive, drop_worst):
                 calls.clear()
                 rep = strategy(gen_random(5, 1), 5, arithmetic=arithmetic)
                 assert calls == [5]
                 assert rep.fraction == one and rep.selected == (1, 2, 3, 4, 5)
+
+
+class TestCeilings:
+    """The full solve's cut mixture caps every subnetwork's capacity."""
+
+    LINKS = (0, 1, 2, F(1, 2), 3, UNBOUNDED)
+
+    def test_property_ceilings_cap_every_subnetwork(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        links = st.sampled_from(self.LINKS)
+
+        @hyp.settings(max_examples=25, deadline=None)
+        @hyp.given(data=st.data(), n=st.integers(1, 7))
+        def check(data, n):
+            net = DiamondNetwork(
+                tuple(data.draw(st.lists(links, min_size=n, max_size=n))),
+                tuple(data.draw(st.lists(links, min_size=n, max_size=n))),
+            )
+            full, mixture = capacity._hd_capacity(net, "rational", ((), ()))
+            float_mixture = capacity._hd_capacity(net, "float", ((), ()))[1]
+            # No LP runs exactly when the value is unbounded.
+            assert (not mixture) == (not float_mixture) == (full.value == UNBOUNDED)
+            hyp.assume(mixture)
+            for k in range(1, n + 1):
+                masks = [mask_from_relays(c, n) for c in combinations(range(1, n + 1), k)]
+                exact = capacity._subnetwork_ceilings(net, masks, mixture, True)
+                approx = capacity._subnetwork_ceilings(net, masks, float_mixture, False)
+                for keep, ceiling, float_ceiling in zip(masks, exact, approx):
+                    value = hd_capacity(net.subnetwork(keep), "rational").value
+                    assert type(ceiling) is F and ceiling >= value, (net, keep)
+                    assert type(float_ceiling) is float
+                    assert float_ceiling >= value - AGREE * max(1, value), (net, keep)
+
+        check()
+
+    def test_whole_network_ceiling_is_the_value(self):
+        # The mixture is the adversary's optimal one, so the full network's
+        # own ceiling is its value.
+        for net in (gen_random(6, 0), gen_worst_case(5), gen_half_tight(4)):
+            full, mixture = capacity._hd_capacity(net, "rational", ((), ()))
+            whole = (1 << net.n) - 1
+            assert capacity._subnetwork_ceilings(net, [whole], mixture, True) == [full.value]
 
 
 class TestBelowBound:

@@ -103,3 +103,22 @@ def test_report_records_failures():
 def test_trials_scale_instance_count():
     rep = run_suite("lemma5", trials=12, seed=0, n_max=3)
     assert rep.instances == 12
+
+
+def test_sparsify_solves_each_trial_once(monkeypatch):
+    # One float solve per instance gives both the rate and the sparse
+    # schedule.  A rational fallback would add its own solves; at seed 0
+    # every float schedule is already on at most n + 1 states.
+    import hddiamond.capacity
+
+    calls = []
+    real = hddiamond.capacity._solve
+
+    def counting(net, exact, *args, **kwargs):
+        calls.append(exact)
+        return real(net, exact, *args, **kwargs)
+
+    monkeypatch.setattr(hddiamond.capacity, "_solve", counting)
+    rep = run_suite("sparsify", trials=10, seed=0, n_max=8)
+    assert rep.ok and rep.instances == 10
+    assert calls == [False] * 10
