@@ -5,9 +5,8 @@ Every scalar result check asks :func:`below`: exact values (``int`` or
 ``Fraction``) compare exactly and read no slack; anything else compares in
 float with the slack the caller passes.  Each caller keeps its own form of
 the slack: absolute, or scaled by ``max(1, |v|)``.  The LP engine's own
-thresholds (``simplex._TOL``, ``simplex._EPS_ZERO_RHS`` and
-``capacity._solve``'s growth ``eps``) are each read by one function and
-live next to it.
+thresholds (``simplex._TOL`` and ``capacity._solve``'s growth ``eps``)
+live next to the code that reads them.
 """
 
 from fractions import Fraction

@@ -771,8 +771,10 @@ def _subnetwork_ceilings(
 
 
 def _as_float(res: CapacityResult) -> CapacityResult:
-    """An exact result restated in float."""
-    probs = {s: float(p) for s, p in res.optimal_schedule.probs.items()}
+    """An exact result restated in float.  A weight too small for a float
+    (one that rounds to 0.0) stays an exact ``Fraction``, so its state stays
+    in the schedule."""
+    probs = {s: float(p) or p for s, p in res.optimal_schedule.probs.items()}
     return CapacityResult(
         float(res.value), Schedule(res.optimal_schedule.n, probs), res.tight_cuts, "float"
     )

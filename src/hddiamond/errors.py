@@ -33,7 +33,9 @@ class BoundViolation(RuntimeError):
 
 class SolverFailure(RuntimeError):
     """The LP engine reported a program that is structurally bounded as
-    unbounded, could not settle or refeasibilize a float basis, or ran out of
-    pivot budget. Indicates a bug or pathological conditioning, not bad input.
-    Float mode can hit it on extreme magnitude spreads that rational mode
-    solves. The CLI exits 5 on it."""
+    unbounded, ended on a float basis that failed its optimality audit
+    (singular, infeasible or not priced out once refactorized), or ran out
+    of pivot budget. Indicates a bug or pathological conditioning, not bad
+    input. Float mode can hit it on extreme magnitude spreads that rational
+    mode solves; float ``hd_capacity`` then solves the game exactly. The CLI
+    exits 5 on it."""

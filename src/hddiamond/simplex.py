@@ -30,8 +30,9 @@ of column generation; Desrosiers & Lübbecke, "A primer in column
 generation", 2005).  An added column leaves the basis primal feasible and
 is priced in by primal pivots; an added row whose slack starts basic but
 negative is repaired first by dual simplex pivots.  A basis that is
-singular, or that the repair cannot make feasible, falls back to the
-all-slack start, so a warm start is a shortcut and never a second solver.
+singular, or that the repair cannot make feasible (or would cycle on),
+falls back to the all-slack start, so a warm start is a shortcut and never
+a second solver.
 
 Pivoting: Dantzig's most-negative-reduced-cost entering rule with a
 deterministic lowest-index tie-break, and the lexicographic minimum-ratio
@@ -39,6 +40,10 @@ leaving rule, the classical anti-cycling guarantee.  The matrix-game
 tableaus this package produces are full of identical rows and columns, so
 degenerate ties are routine and a plain index tie-break can mill for
 thousands of pivots.  Runs are fully deterministic.
+
+Float safeguard: one audit before a float basis is declared optimal (see
+:func:`_iterate`).  A basis that fails it raises :class:`SolverFailure`,
+and :func:`hddiamond.hd_capacity` answers that by solving exactly.
 """
 
 from __future__ import annotations
@@ -77,13 +82,6 @@ class LPResult:
         return self.status == "optimal"
 
 
-# Basic values closer to zero than this are treated as exactly zero when a
-# pivot is taken or a ratio is formed.  A degenerate vertex leaves rhs
-# entries that are pure roundoff (~1e-15); dividing one by a near-threshold
-# pivot element (~1e-8..1e-6) would otherwise amplify that noise into a
-# "step" that walks the basis out of the feasible region.
-_EPS_ZERO_RHS = 1e-11
-
 # Tolerances keyed by exactness: (reduced-cost threshold, smallest usable
 # pivot, feasibility tolerance, ratio tie width).  Exact arithmetic needs
 # none of them.
@@ -110,8 +108,6 @@ def _pivot(t: np.ndarray, obj: np.ndarray | None, basis: list[int], row: int, co
                 np.negative(obj, out=obj)
         basis[row] = col
         return
-    if -_EPS_ZERO_RHS < t[row, -1] < _EPS_ZERO_RHS:
-        t[row, -1] = 0.0  # keep a degenerate pivot exactly degenerate
     t[row] = t[row] / piv
     rows = np.flatnonzero(t[:, col] != 0)
     rows = rows[rows != row]
@@ -127,22 +123,17 @@ def _leaving_row(t: np.ndarray, col: int, exact: bool) -> int:
     """The lexicographic minimum-ratio row for entering column ``col``; -1
     when no entry ``a > eps`` can pivot (the LP is unbounded).
 
-    Keep the rows of least ``rhs / a`` (float reads an rhs within
-    ``_EPS_ZERO_RHS`` of 0 as 0), then narrow them by ``t[:, k] / a``, rhs
-    first then left to right, each within the tie width.  Exact rows never
-    tie throughout, as the initial basis columns are scanned too; a float
-    full tie takes the lowest index.
+    Keep the rows of least ``rhs / a``, then narrow them by ``t[:, k] / a``
+    from left to right, each within the tie width.  Exact rows never tie
+    throughout, as the initial basis columns are scanned too; a float full
+    tie takes the lowest index.
     """
     _, eps_piv, _, tie = _TOL[exact]
     a = t[:, col]
     rows = (a > eps_piv).nonzero()[0]
     if rows.size == 0:
         return -1
-    rhs = t[:, -1]
-    if not exact:
-        rhs = rhs.copy()
-        rhs[np.abs(rhs) < _EPS_ZERO_RHS] = 0.0
-    for column in chain([rhs, t[:, -1]], t.T[:-1]):
+    for column in chain([t[:, -1]], t.T[:-1]):
         if exact:
             rows = _least_ratios(column, a, rows)
         else:
@@ -221,36 +212,39 @@ def _install(
     return True
 
 
-_REFACTOR_EVERY = 64
-
-
 def _dual_repair(
     t: np.ndarray,
     obj: np.ndarray,
     basis: list[int],
     budget: list[int],
 ) -> bool:
-    """Drive negative basic values out of a basis by dual simplex pivots.
+    """Drive negative basic values out of a warm-start basis by dual simplex
+    pivots.
 
     The leaving row is the most negative rhs entry, the entering column the
     dual ratio test over that row's negative entries, taken only among the
     columns whose reduced cost is already nonnegative to tolerance: each
     pivot then keeps those columns priced out while it restores primal
     feasibility, and a column still priced negative (a new state column of
-    a warm start) is left for the primal pivots that follow.  Used for the
-    rows a warm start adds, and as the backstop when the refactorized float
-    tableau shows the basis drifted infeasible (a mis-stepped degenerate
-    pivot can cause that).  Returns False if some infeasible row has no
-    eligible column to pivot on.
+    a warm start) is left for the primal pivots that follow.  This rule has
+    no anti-cycling guarantee, so a repair that returns to a set of basic
+    columns it has held gives up.  Returns False then, or when some
+    infeasible row has no eligible column to pivot on; the solve restarts
+    from the all-slack basis.
     """
     exact = t.dtype == object
     eps_rc, eps_piv, eps_feas, tie = _TOL[exact]
     ncols = t.shape[1] - 1
+    seen = set()
     while True:
         rhs = t[:, -1]
         row = int(np.argmin(rhs))
         if rhs[row] >= -eps_feas:
             return True
+        held = frozenset(basis)
+        if held in seen:
+            return False
+        seen.add(held)
         a = t[row, :ncols]
         cand = np.flatnonzero((a < -eps_piv) & (obj[:ncols] >= -eps_rc))
         if cand.size == 0:
@@ -284,56 +278,33 @@ def _iterate(
     in are saturated with identical rows/columns, so degenerate ties are
     the norm, not the exception.
 
-    Float mode refactorizes every ``_REFACTOR_EVERY`` pivots and again
-    whenever optimality is about to be declared: long degenerate runs
-    otherwise accumulate enough tableau roundoff for phantom optima (and
-    mildly infeasible bases) to slip through.  The pre-optimality refactor
-    also audits the rhs column and runs a dual-simplex repair if the basis
-    drifted infeasible — "optimal" is only ever returned for a basis that
-    is feasible and priced out at the same time.  Exact mode needs none of
-    this.
+    Before a float basis is declared optimal it is audited: the tableau is
+    refactorized from the original system, wiping out pivot roundoff, and
+    must then be feasible (every rhs >= -eps_feas) and priced out (every
+    reduced cost >= -eps_rc).  A basis that is singular or fails either
+    test raises :class:`SolverFailure`; :func:`hddiamond.hd_capacity`
+    answers that by solving the game exactly.  Exact mode needs no audit.
     """
     exact = t.dtype == object
     eps_rc, _, eps_feas, _ = _TOL[exact]
     ncols = t.shape[1] - 1
-    refreshes = 0
-    since_refactor = 0
     while True:
-        col = -1
-        j = int(np.argmin(obj[:ncols]))
-        if obj[j] < -eps_rc:
-            col = j
-        if col < 0:
-            if exact:
-                return "optimal"
-            _refactor(t, obj, basis, orig, cost)
-            since_refactor = 0
-            if t[:, -1].min() < -eps_feas:
-                if not _dual_repair(t, obj, basis, budget):
-                    raise SolverFailure("basis would not refeasibilize")
+        col = int(np.argmin(obj[:ncols]))
+        if obj[col] >= -eps_rc:
+            if exact or (
                 _refactor(t, obj, basis, orig, cost)
-            j = int(np.argmin(obj[:ncols]))
-            if obj[j] >= -eps_rc:
-                if t[:, -1].min() < -eps_feas:
-                    raise SolverFailure("basis would not refeasibilize")
+                and t[:, -1].min() >= -eps_feas
+                and obj[:ncols].min() >= -eps_rc
+            ):
                 return "optimal"
-            refreshes += 1
-            if refreshes > 50:
-                raise SolverFailure("reduced costs will not settle")
-            col = j
-
+            raise SolverFailure("float basis failed its optimality audit")
         row = _leaving_row(t, col, exact)
         if row < 0:
             return "unbounded"
-
         _pivot(t, obj, basis, row, col)
         budget[0] -= 1
         if budget[0] <= 0:
             raise SolverFailure("pivot budget exhausted")
-        since_refactor += 1
-        if not exact and since_refactor >= _REFACTOR_EVERY:
-            _refactor(t, obj, basis, orig, cost)
-            since_refactor = 0
 
 
 def _integers(values: Iterable) -> tuple[list[int], int]:
@@ -377,6 +348,11 @@ def solve_lp(
     over the columns already priced out, and primal pivots finish.  A
     singular basis, or one the repair cannot make feasible, falls back to
     the all-slack start.
+
+    A float optimum is returned only for a basis that, refactorized from
+    the original system, is feasible and priced out to tolerance; any other
+    float basis raises :class:`SolverFailure`, and so does a solve past
+    ``_MAX_PIVOTS`` pivots in either arithmetic.
     """
     if len(a_ub) != len(b_ub):
         raise ValueError("constraint matrix/rhs length mismatch")

@@ -59,7 +59,7 @@ from hddiamond.capacity import (
     _unit_scaled,
 )
 from hddiamond.selection import _ratio
-from hddiamond.simplex import _EPS_ZERO_RHS, _TOL
+from hddiamond.simplex import _TOL
 
 _DUAL_GUARD = 10  # dual_capacity materializes a dense (cuts x states) matrix
 
@@ -289,10 +289,7 @@ def pairwise_leaving_row(t: np.ndarray, col: int, exact: bool) -> int:
     for i in range(t.shape[0]):
         a = t[i, col]
         if a > eps_piv:
-            num = t[i, -1]
-            if not exact and abs(num) < _EPS_ZERO_RHS:
-                num = 0.0
-            ratio = num / a
+            ratio = t[i, -1] / a
             if best is None or ratio < best - tie:
                 best, row, best_a = ratio, i, a
             elif ratio <= best + tie and lexico_less(i, a, row, best_a):

@@ -864,6 +864,30 @@ class TestFloatThenExact:
         assert res.value == F(2 * big, big + 1)
         assert type(res.value) is F
 
+    def test_dual_repair_gives_up_on_a_cycle(self, monkeypatch):
+        # From the default pools, a warm start's dual repair in the exact
+        # rounds of this net returns to a basis it has held; repeating the
+        # cycle used to spend the whole pivot budget.
+        from hddiamond import simplex
+
+        net = gen_random(12, 5)
+        want = hd_capacity(net, "rational").value
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 5000)
+        assert capacity._solve(net, True)[0].value == want
+
+    @pytest.mark.parametrize("links", [
+        ((10**400, 1), (1, 10**400)),
+        ((10**400, 0.5, 1), (1, 10**400, 0.5)),
+    ])
+    def test_escalated_schedule_keeps_weights_below_the_float_range(self, links):
+        # The optimal schedule weights a state about 1e-400: kept exact in
+        # the float result, it still attains the value.
+        net = DiamondNetwork(*links)
+        res = hd_capacity(net)
+        assert float(hd_capacity(net, "rational").value) == res.value
+        assert fixed_schedule_rate(net, res.optimal_schedule).value == res.value
+        assert any(isinstance(p, F) for p in res.optimal_schedule.probs.values())
+
     def test_property_wide_spread(self):
         # Exact links across fourteen orders of magnitude, with zero and
         # unbounded links: the float pre-pass fails on some of these, and the

@@ -236,14 +236,23 @@ class TestSelect:
     @pytest.mark.parametrize("strategy", ["iterative", "schedule-reuse"])
     def test_oversized_link_rate_strategies(self, capsys, oversized, mixed, strategy):
         # A float rate whose links cannot fill float tables takes the min
-        # cut on the links' exact values, so float mode answers too.
+        # cut on the links' exact values, so float mode answers too, and the
+        # escalated schedule keeps its states weighted about 1e-400: the
+        # float report is the --exact one, rounded.
         argv = ("select", "--network", oversized, "-k", "1", "--strategy", strategy)
         mixed_argv = ("select", "--network", mixed, "-k", "2", "--strategy", strategy)
-        for args in (argv, mixed_argv):
+        for args, want in ((argv, ([2], 1.0, 2.0)), (mixed_argv, ([1, 2], 1.25, 1.5))):
             code, out, _ = run(capsys, *args)
             assert code == 0
             data = json.loads(out)
             assert F(data["fraction"]) >= F(data["bound"]), data
+            assert (data["selected"], data["value"], data["full_value"]) == want
+            code, out, _ = run(capsys, *args, "--exact")
+            assert code == 0
+            exact = json.loads(out)
+            assert exact["selected"] == data["selected"]
+            assert float(F(exact["value"])) == data["value"]
+            assert float(F(exact["full_value"])) == data["full_value"]
         code, out, _ = run(capsys, *argv, "--exact")
         assert code == 0
         assert F(json.loads(out)["full_value"]) == F(2 * 10**400, 10**400 + 1)

@@ -404,6 +404,46 @@ class TestWarmStart:
                 solve_lp([-1, -1], [[1, 1], [1, 0]], [4, 2], basis=basis)
 
 
+
+class TestOptimalityAudit:
+    """A float basis is returned as optimal only when the tableau,
+    refactorized from the original system, is feasible and priced out;
+    otherwise ``solve_lp`` raises ``SolverFailure``, and ``hd_capacity``
+    answers that by solving the game exactly."""
+
+    LP = ([-1.0, -1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 5.0])
+
+    @pytest.mark.parametrize("spoil", ["singular", "infeasible", "priced negative"])
+    def test_failed_audit_raises(self, monkeypatch, spoil):
+        assert solve_lp(*self.LP).ok
+        real = simplex._refactor
+
+        def refactor(t, obj, basis, orig, cost):
+            if spoil == "singular" or not real(t, obj, basis, orig, cost):
+                return False
+            if spoil == "infeasible":
+                t[0, -1] = -1e-6
+            else:
+                obj[0] = -1e-6
+            return True
+
+        monkeypatch.setattr(simplex, "_refactor", refactor)
+        with pytest.raises(SolverFailure):
+            solve_lp(*self.LP)
+        exact = solve_lp(*self.LP, exact=True)
+        assert exact.ok and exact.objective == F(-13, 5)
+
+    def test_hd_capacity_escalates(self, monkeypatch):
+        from hddiamond import gen_random, hd_capacity
+
+        net = gen_random(5, 0)
+        want = hd_capacity(net, "rational").value
+        monkeypatch.setattr(simplex, "_refactor", lambda *args: False)
+        res = hd_capacity(net)
+        assert res.value == float(want)
+        assert res.arithmetic == "float"
+
+
 def _degenerate_tableau(rng):
     """A small tableau (last column the rhs >= 0) full of ratio ties, as
     integer entries: rows repeated at power-of-two scales, some changed in

@@ -22,7 +22,6 @@ EXEMPT = {
     ("_tolerance", "AGREE"),
     ("_tolerance", "SETTLED"),
     ("simplex", "_TOL"),
-    ("simplex", "_EPS_ZERO_RHS"),
     ("capacity", "_solve.eps"),
     ("capacity", "_SCAN_UNIT_S"),
 }
