@@ -339,11 +339,6 @@ def _scan_is_cheaper(n: int, k: int) -> bool:
     return _SCAN_UNIT_S * (1 << n) * (k + 2) <= _FLOW_UNIT_S * n * k
 
 
-def _float_tol(value: LinkValue) -> float:
-    """Float slack of a minimum: relative, and absolute below 1."""
-    return ROUNDOFF * max(1.0, abs(value))
-
-
 def _escalate_gap(value: LinkValue) -> float:
     """Largest ceiling-minus-floor gap a float ``hd_capacity`` returns as it
     is; a wider one sends the game to exact arithmetic.  Relative, and
@@ -651,17 +646,19 @@ def hd_capacity(
     links, then runs the exact rounds from that solve's final support (its
     states of positive weight and cuts of positive price).  The exact rounds
     stop only on the exact certificate, so the float pass changes how many
-    exact rounds are needed, never the value.  When the float pass cannot
-    run (a link too large for a float) or fails, the exact rounds start from
-    the default pools alone.
+    exact rounds are needed, never the value.  With a link too large for a
+    float, the float pass runs on the links divided by a common power of two
+    that brings them into the float range (see :func:`_scaled_down`).  When
+    the float pass fails, the exact rounds start from the default pools.
 
     ``seeds`` is a pair ``(states, cuts)`` of masks in ``net``'s own relay
     indexing that the float rounds add to their starting pools, typically a
     parent network's solve restricted to ``net`` (see
     :func:`subnetwork_seeds`).  Seeds only add pool entries, so the loop
     stops on the same certificate whatever they are, and rational values do
-    not depend on them.  The exact rounds of a float escalation start
-    unseeded.  A mask outside ``[0, 2**n)`` raises ``ValueError``.
+    not depend on them.  The exact rounds of a float escalation start from
+    the default pools, or from the scaled float pass.  A mask outside
+    ``[0, 2**n)`` raises ``ValueError``.
 
     The relay guard caps the relay count (16, or the HDDIAMOND_LP_GUARD
     environment variable); past it, raise instead of grinding.
@@ -684,14 +681,27 @@ def _hd_capacity(
     if n > g:
         raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
     states, cuts = (_checked_masks(masks, n) for masks in seeds)
-    try:
-        res, states, mixture = _solve(net, False, states, cuts)
-        if not exact:
-            return res, mixture
-    except (OverflowError, SolverFailure):
-        states, mixture = (), {}
-    res, _, mixture = _solve(net, True, states, mixture)
+    res, mixture = None, {}
+    with suppress(OverflowError, SolverFailure):
+        try:
+            res, mixture = _solve(net, False, states, cuts)
+            if not exact:
+                return res, mixture
+        except OverflowError:  # a link too large for a float
+            res, mixture = _solve(_scaled_down(net), False, states, cuts)
+    states = res.optimal_schedule.support if res else ()
+    res, mixture = _solve(net, True, states, mixture)
     return (res if exact else _as_float(res)), mixture
+
+
+def _scaled_down(net: DiamondNetwork) -> DiamondNetwork:
+    """``net`` with every finite link divided exactly by ``2^s``, ``s =
+    max(0, bit_length(top) - 1000)`` for the largest finite link ``top``, so
+    that every link fits a float.  The game scales with its links."""
+    top = max((v for v in net.uplinks + net.downlinks if not is_unbounded(v)), default=0)
+    shift = max(0, int(top).bit_length() - 1000)
+    scaled = lambda vals: tuple(v if is_unbounded(v) else Fraction(v) / 2**shift for v in vals)
+    return replace(net, uplinks=scaled(net.uplinks), downlinks=scaled(net.downlinks))
 
 
 def _checked_masks(masks: Iterable[int], n: int) -> tuple[int, ...]:
@@ -725,21 +735,23 @@ def _subnetwork_ceilings(
     net: DiamondNetwork, keeps: Sequence[int], mixture: dict[int, LinkValue], exact: bool
 ) -> list[LinkValue]:
     """A certified ceiling on the HD capacity of each subnetwork of ``net``
-    kept by the masks ``keeps`` (all of one size k), from ``net``'s cut
-    mixture ``mu`` (see :func:`_hd_capacity`): with T the transmitting
-    relays of a state of K,
+    kept by the masks ``keeps`` (all of one size k): the smaller of K's FD
+    value and a bound from ``net``'s cut mixture ``mu`` (see
+    :func:`_hd_capacity`).  With T the transmitting relays of a state of K,
 
-        ceiling(K) = max over T of g_L(K - T) + g_R(T),
+        ceiling(K) = min(min over T of maxl[K - T] + maxr[T],
+                         max over T of g_L(K - T) + g_R(T)),
         g_L(L) = sum_A mu_A * maxl[A & L],  g_R(T) = sum_A mu_A * maxr[T & ~A].
 
-    Each cut A of the mixture restricted to K is a cut of K's own game with
-    finite FD value, and a relay that leaves lowers no payoff, so this is
-    the best state value against a cut mixture of K's game: at least K's
-    capacity.  It is evaluated on the ``C(n, k) * 2^k`` (listen, transmit)
-    splits of the masks only, never on all ``2^n`` masks, in the given
-    arithmetic: ``Fraction``s when exact, else floats from the mixture
-    normalized to sum 1.  In float, a link too large for a float raises
-    ``OverflowError`` (from the tables).
+    The first term is K's FD value, which caps its HD capacity.  For the
+    second, each cut A of the mixture restricted to K is a cut of K's own
+    game with finite FD value, and a relay that leaves lowers no payoff, so
+    it is the best state value against a cut mixture of K's game: at least
+    K's capacity too.  Both are evaluated on the ``C(n, k) * 2^k`` (listen,
+    transmit) splits of the masks only, never on all ``2^n`` masks, in the
+    given arithmetic: ``Fraction``s when exact, else floats from the
+    mixture normalized to sum 1.  In float, a link too large for a float
+    raises ``OverflowError`` (from the tables).
     """
     maxl, maxr, scale = _tables(net, exact)
     cuts = np.array(list(mixture))[:, None]
@@ -767,7 +779,8 @@ def _subnetwork_ceilings(
 
     ceilings = (mixed(listen, lambda ls: maxl[cuts & ls])
                 + mixed(transmit, lambda ts: maxr[ts & ~cuts])).max(axis=0)
-    return [_unscaled(c, scale * d, exact) for c in ceilings]
+    fd = (maxl[listen] + maxr[transmit]).min(axis=0) * d  # on the mixture's scale
+    return [_unscaled(c, scale * d, exact) for c in np.minimum(ceilings, fd)]
 
 
 def _as_float(res: CapacityResult) -> CapacityResult:
@@ -785,15 +798,15 @@ def _solve(
     exact: bool,
     states: Iterable[int] = (),
     cuts: Iterable[int] = (),
-) -> tuple[CapacityResult, tuple[int, ...], dict[int, LinkValue]]:
+) -> tuple[CapacityResult, dict[int, LinkValue]]:
     """The double-oracle loop of :func:`hd_capacity` in one arithmetic.
 
     ``states`` and ``cuts`` seed the pools: they only add entries to the
     default start (seeded cuts with infinite FD value are dropped), and the
     loop stops on the same certificate whatever the seeds.  Returns the
-    result, the states of positive weight and the final cut mixture as
-    ``{cut: price}`` over the cuts of positive price (both empty when no LP
-    ran); iterating the mixture gives its support.
+    result and the final cut mixture as ``{cut: price}`` over the cuts of
+    positive price (empty when no LP ran); iterating the mixture gives its
+    support.
 
     The loop ends with a certified interval: the schedule's rate over the
     kept cuts (the floor, returned as the value) and the largest value any
@@ -816,7 +829,7 @@ def _solve(
             tight_cuts=(0,),
             arithmetic=arith,
         )
-        return unbounded, (), {}
+        return unbounded, {}
 
     # A best response joins its pool only when it beats the current
     # mixture's value by more than this; the loop's own threshold.
@@ -904,7 +917,7 @@ def _solve(
         tight_cuts=tight,
         arithmetic=arith,
     )
-    return result, tuple(probs), cut_probs
+    return result, cut_probs
 
 
 def sparsify_schedule(net: DiamondNetwork) -> Schedule | None:

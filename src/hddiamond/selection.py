@@ -13,8 +13,9 @@ Four strategies pick k of the n relays:
   current one).
 * ``schedule-reuse`` — iterative's k = n-1 case, a single round: the kept
   rate is at least (n-1)/n of the full value.
-* ``exhaustive``   — the best size-k subnetwork, visited best first by
-  certified ceilings and solved only where it could win.  Dominates
+* ``exhaustive``   — the best size-k subnetwork, visited best first by one
+  certified ceiling per subset (the smaller of its FD value and the full
+  solve's cut-mixture bound) and solved only where it could win.  Dominates
   everything above; its guarantee combines the k/n rate floor
   with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).
 
@@ -45,7 +46,6 @@ from .capacity import (
     CapacityResult,
     _effective_guard,
     _exact_links,
-    _float_tol,
     _hd_capacity,
     _net_is_exact,
     _subnetwork_ceilings,
@@ -174,16 +174,6 @@ def _certified_capacity(
         raise
 
 
-def _fd_rules_out(sub: DiamondNetwork, best: LinkValue) -> bool:
-    """Whether ``sub``'s FD value shows it cannot beat the incumbent value
-    ``best``: its HD capacity is at most its FD value, so below ``best`` it
-    can never win the strict ``>`` comparison.  In float the FD value keeps
-    the slack of a minimum; exact values read none, and an exact FD value
-    may be too large for a float."""
-    fd = fd_capacity_fast(sub)
-    return below(fd, best, 0 if _is_exact(fd) and _is_exact(best) else _float_tol(fd))
-
-
 def _ceiling_rules_out(ceiling: LinkValue, best: LinkValue) -> bool:
     """Whether a subnetwork's ceiling shows it cannot beat the incumbent
     value ``best``.  Exact values compare strictly.  In float, a schedule's
@@ -205,41 +195,34 @@ def _best_subnetwork(
 
     ``full`` is ``net``'s own solve: the mask of every relay reuses it, and
     every other subnetwork solve is seeded from it (see
-    :func:`subnetwork_seeds`).  A subnetwork whose FD value is below the
-    incumbent is skipped unsolved, since it cannot win.
+    :func:`subnetwork_seeds`).
 
-    With more than one mask and ``full``'s cut mixture at hand, each mask
-    also gets a certified ceiling from that mixture
-    (:func:`capacity._subnetwork_ceilings`).  The masks are then visited
-    best first, by descending ceiling (ties in the given order), and the
-    visit stops at the first ceiling below the incumbent: no later mask can
-    win.  A solved mask that ties the incumbent replaces it only when it
-    comes earlier in the given order.  Without a mixture (the pin, an
-    unbounded full value, or a link too large for float tables in float
-    mode) the masks are visited in the given order.  None of this changes
-    the answer.
+    With more than one mask, each gets a certified ceiling on its capacity:
+    the smaller of its FD value and the bound from ``full``'s cut mixture
+    (:func:`capacity._subnetwork_ceilings`), or its FD value alone without a
+    mixture (the pin, an unbounded full value) or, in float, with a link
+    too large for float tables.  The masks are visited best first, by
+    descending ceiling (ties in the given order), and the visit stops at
+    the first ceiling below the incumbent: no later mask can win.  A solved
+    mask that ties the incumbent replaces it only when it comes earlier in
+    the given order, so the answer does not depend on the visit order.
     """
     whole = (1 << net.n) - 1
-    ceilings = None
+    ceilings = [None]  # a lone mask is solved without one
     if len(masks) > 1 and mixture:
         with suppress(OverflowError):
             ceilings = _subnetwork_ceilings(net, masks, mixture, arithmetic == "rational")
-    order = range(len(masks))
-    if ceilings is not None:
-        order = sorted(order, key=ceilings.__getitem__, reverse=True)  # stable
+    if len(ceilings) < len(masks):  # no mixture, or float tables overflow
+        ceilings = [fd_capacity_fast(net.subnetwork(keep)) for keep in masks]
     best: tuple[LinkValue, int, tuple[int, ...]] | None = None
-    for i in order:
+    for i in sorted(range(len(masks)), key=ceilings.__getitem__, reverse=True):  # stable
+        if best is not None and _ceiling_rules_out(ceilings[i], best[0]):
+            break
         keep = masks[i]
         if keep == whole:
             value, labels = full.value, net.labels
         else:
-            if best is not None and ceilings is not None and _ceiling_rules_out(
-                ceilings[i], best[0]
-            ):
-                break
             sub = net.subnetwork(keep)
-            if best is not None and _fd_rules_out(sub, best[0]):
-                continue
             value = hd_capacity(sub, arithmetic, seeds=subnetwork_seeds(full, keep)).value
             labels = sub.labels
         if best is None or value > best[0] or value == best[0] and i < best[1]:
@@ -396,8 +379,8 @@ def select_k_exhaustive(
     HDDIAMOND_LP_GUARD); the same splits bound the one pass that computes
     every subnetwork's ceiling.  At ``k == n`` only the full solve's guard
     applies, and the full solve is the answer.  See
-    :func:`_best_subnetwork` for the seeds, the best-first visit by
-    ceiling and the skips.
+    :func:`_best_subnetwork` for the seeds and the best-first visit by
+    ceiling.
     """
     n = net.n
     bound = guarantee_bound("exhaustive", n, k)

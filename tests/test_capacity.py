@@ -864,6 +864,30 @@ class TestFloatThenExact:
         assert res.value == F(2 * big, big + 1)
         assert type(res.value) is F
 
+    def test_links_past_the_float_range_seed_the_exact_rounds(self, monkeypatch):
+        # The float pass runs on the links divided by a common power of two,
+        # and its support seeds the exact rounds: no more exact LPs than on
+        # the same links unscaled, and the value scales with the links.
+        exact_lps = []
+        real = capacity._game_primal
+
+        def counting(matrix, scale, *basis):
+            if matrix.dtype == object:
+                exact_lps.append(matrix.shape)
+            return real(matrix, scale, *basis)
+
+        monkeypatch.setattr(capacity, "_game_primal", counting)
+        net = gen_random(8, 0)
+        big = 10**400
+        scaled = DiamondNetwork(
+            tuple(F(v) * big for v in net.uplinks), tuple(F(v) * big for v in net.downlinks)
+        )
+        plain = hd_capacity(net, "rational").value
+        plain_lps = len(exact_lps)
+        exact_lps.clear()
+        assert hd_capacity(scaled, "rational").value == plain * big
+        assert 0 < len(exact_lps) <= plain_lps
+
     def test_dual_repair_gives_up_on_a_cycle(self, monkeypatch):
         # From the default pools, a warm start's dual repair in the exact
         # rounds of this net returns to a basis it has held; repeating the
@@ -916,7 +940,7 @@ class TestFloatThenExact:
     def test_seeds_only_add_kept_cuts(self):
         for net in (gen_worst_case(5), gen_half_tight(4), DiamondNetwork((F(1, 2), 3), (2, F(1, 3)))):
             full = (1 << net.n) - 1
-            seeded, _, cuts = capacity._solve(net, True, range(full + 1), range(full + 1))
+            seeded, cuts = capacity._solve(net, True, range(full + 1), range(full + 1))
             assert seeded.value == capacity._solve(net, True)[0].value
             # Against the complementary state a cut's payoff is its FD value.
             assert all(cut_state_value(net, a, full - a) != UNBOUNDED for a in cuts)

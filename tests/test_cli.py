@@ -213,7 +213,7 @@ class TestCapacity:
 
 class TestSelect:
     def test_exact_exhaustive_with_links_past_the_float_range(self, capsys, tmp_path):
-        # The FD skip compares exact values exactly and reads no float slack.
+        # Exact ceilings compare with the incumbent exactly and read no float slack.
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"l": ["inf", 10**400, 1], "r": [1, 10**400, 2]}))
         code, out, _ = run(

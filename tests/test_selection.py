@@ -436,7 +436,7 @@ class TestExhaustive:
     def test_float_matches_cold_unpruned_loop(self, monkeypatch):
         # Seeded float solves may differ from cold ones in the last bits, so
         # two subnetworks of exactly equal capacity can swap places; the
-        # seeded loop without the ceilings must agree to the bit.
+        # seeded loop on FD ceilings alone must agree to the bit.
         real = selection._certified_capacity
         without_ceilings = lambda net, a: (real(net, a)[0], None)
         exact = lambda net, relays: hd_capacity(net.subnetwork(relays), "rational").value
@@ -463,15 +463,16 @@ class TestExhaustive:
             select_k_exhaustive(net, k)
             assert calls[0] == 8 and len(calls) < 1 + math.comb(8, k), k
         # Every single relay of the half-tight family has capacity and FD
-        # value 1/2: a tie with the incumbent is never skipped, by the FD
-        # value or by the ceiling.
+        # value 1/2: a ceiling that ties the incumbent never stops the visit.
         calls.clear()
         select_k_exhaustive(gen_half_tight(4), 1, arithmetic="rational")
         assert len(calls) == 1 + 4
 
     def test_ceilings_halve_the_solves(self, monkeypatch):
-        # Summed over every k, best-first pruning by the ceilings solves at
-        # most half the subnetworks that the FD skip alone leaves.
+        # Summed over every k, the mixture bound in the ceilings halves the
+        # subnetwork solves that best-first pruning by FD ceilings alone
+        # leaves, counting those after each visit's first, which no ceiling
+        # can skip.
         calls = count_solves(monkeypatch)
         nets = [gen_random(9, seed) for seed in range(3)]
 
@@ -480,7 +481,7 @@ class TestExhaustive:
             for net in nets:
                 for k in range(1, 9):
                     select_k_exhaustive(net, k)
-            return len(calls) - 8 * len(nets)  # less the full solves
+            return len(calls) - 2 * 8 * len(nets)  # less the full and first solves
 
         pruned = solves()
         real = selection._certified_capacity
@@ -488,6 +489,52 @@ class TestExhaustive:
             selection, "_certified_capacity", lambda net, a: (real(net, a)[0], None)
         )
         assert 0 < pruned <= solves() / 2
+
+    def test_fd_ceilings_without_a_mixture_unbounded_full_value(self, monkeypatch):
+        # Relay 1 makes every subset holding it unbounded, and no LP runs on
+        # the full network.  The FD ceilings alone stop the visit after the
+        # subsets holding relay 1: at k = 2, 3 of the 6.
+        calls = count_solves(monkeypatch)
+        net = DiamondNetwork((UNBOUNDED, 1, 2, F(1, 2)), (UNBOUNDED, 2, 1, 3))
+        for arithmetic in ("float", "rational"):
+            assert not capacity._hd_capacity(net, arithmetic, ((), ()))[1]
+            for k in range(1, 5):
+                calls.clear()
+                rep = select_k_exhaustive(net, k, arithmetic=arithmetic)
+                assert rep == cold_exhaustive(net, k, arithmetic), (arithmetic, k)
+                assert rep.selected[0] == 1 and rep.value == UNBOUNDED
+                assert len(calls) == 1 + (math.comb(3, k - 1) if k < 4 else 0)
+
+    def test_fd_ceilings_without_a_mixture_on_the_pin(self, monkeypatch):
+        # Past a guard of 7 the full value of gen_worst_case(8) comes from the
+        # pin, with no mixture; k <= 2 keeps within the C(n, k) * 2^k rule.
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "7")
+        net = gen_worst_case(8)
+        calls = count_solves(monkeypatch)
+        for k, selected, value in ((1, (2,), F(3, 10)), (2, (2, 3), F(3, 5))):
+            calls.clear()
+            rep = select_k_exhaustive(net, k, arithmetic="rational")
+            assert (rep.selected, rep.value, rep.full_value) == (selected, value, 1)
+            assert 1 < len(calls) < 1 + math.comb(8, k)
+            capacities = {
+                relays: hd_capacity(net.subnetwork(relays), "rational").value
+                for relays in combinations(range(1, 9), k)
+            }
+            best = max(capacities.values())
+            assert value == best and selected == min(c for c in capacities if capacities[c] == best)
+
+    def test_fd_ceilings_without_a_mixture_past_the_float_tables(self, monkeypatch):
+        # 10**400 does not fit the float tables, so float selection prunes
+        # by the FD ceilings alone.
+        net = DiamondNetwork((10**400, 0.5, 1), (1, 10**400, 0.5))
+        calls = count_solves(monkeypatch)
+        for k in range(1, 4):
+            calls.clear()
+            rep = select_k_exhaustive(net, k)
+            assert rep == cold_exhaustive(net, k), k
+            assert len(calls) < 1 + math.comb(3, k) or k == 3
+        with pytest.raises(OverflowError):
+            capacity._tables(net, False)
 
     def test_fd_skip_on_links_past_the_float_range(self):
         # Both sides of the FD skip are exact, so it reads no float slack,
