@@ -660,8 +660,17 @@ def hd_capacity(
     the default pools, or from the scaled float pass.  A mask outside
     ``[0, 2**n)`` raises ``ValueError``.
 
-    The relay guard caps the relay count (16, or the HDDIAMOND_LP_GUARD
-    environment variable); past it, raise instead of grinding.
+    The relay guard caps the relay count of the game (16, or the
+    HDDIAMOND_LP_GUARD environment variable).  Past it, the *pin* may still
+    certify the value, in either arithmetic and on any links: on the exact
+    values of the links, the rate of :func:`gen_two_phase_schedule` (one
+    s-t min cut) is a floor and the FD capacity a ceiling.  When the two
+    are equal, that is the value, the two-phase schedule is returned (in
+    float mode, rounded), and ``tight_cuts`` are FD's threshold cuts at the
+    minimum.  Each of those cuts' scheduled value lies between the rate and
+    its FD value, which are equal, so they are a subset of the schedule's
+    minimizing cuts.  When the two differ, raise :class:`GuardExceeded`
+    instead of grinding.  Seeds are checked past the guard too, then unused.
     """
     return _hd_capacity(net, arithmetic, seeds)[0]
 
@@ -674,13 +683,18 @@ def _hd_capacity(
     """:func:`hd_capacity` and the adversary's side of the same solve: the
     final LP's cut mixture ``{cut: price}`` of the solve that gave the
     result (exact prices after an escalation or in rational mode).  It is
-    empty when no LP ran, i.e. when the value is unbounded."""
+    empty when no LP ran: an unbounded value, or the pin past the guard."""
     exact = _check_arithmetic(arithmetic)
     n = net.n
+    states, cuts = (_checked_masks(masks, n) for masks in seeds)
     g = _effective_guard()
     if n > g:
-        raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
-    states, cuts = (_checked_masks(masks, n) for masks in seeds)
+        links, sched = _exact_links(net), gen_two_phase_schedule(n)
+        fd = fd_capacity(links)
+        if fixed_schedule_rate(links, sched).value != fd.value:
+            raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
+        res = replace(fd, optimal_schedule=sched)
+        return (res if exact else _as_float(res)), {}
     res, mixture = None, {}
     with suppress(OverflowError, SolverFailure):
         try:
@@ -718,15 +732,12 @@ def subnetwork_seeds(
     """``hd_capacity`` seeds for the subnetwork of the relays in mask
     ``keep``, from the full network's result: its support states and its
     tight cuts (which include every cut of positive price, by complementary
-    slackness), restricted to the kept relays.  Both are empty when the
-    full value is unbounded, whose schedule spans every state.
+    slackness), restricted to the kept relays.
 
     This is the paper's proof idea put to work: the full optimal schedule,
     marginalized onto a good subnetwork, keeps most of its value, so these
     pools start the subnetwork's double oracle near its optimum.
     """
-    if is_unbounded(full.value):
-        return (), ()
     restrict = lambda masks: tuple(sorted({restrict_mask(m, keep) for m in masks}))
     return restrict(full.optimal_schedule.support), restrict(full.tight_cuts)
 
@@ -821,11 +832,13 @@ def _solve(
     maxl, maxr, scale = _tables(net, exact)
     kept = (maxl + maxr[::-1]) != UNBOUNDED
     if not kept.any():
-        # Every cut has infinite FD value, so the HD value is infinite too
-        # (any schedule with full support certifies it).
+        # Every cut has infinite FD value, so the HD value is infinite too.
+        # Half on all-listen and half on all-transmit certifies it: against
+        # cut A they score maxl[A] and maxr[~A], and one of the two is
+        # infinite.
         unbounded = CapacityResult(
             value=UNBOUNDED,
-            optimal_schedule=Schedule.uniform(n),
+            optimal_schedule=Schedule(n, {0: Fraction(1, 2), size - 1: Fraction(1, 2)}),
             tight_cuts=(0,),
             arithmetic=arith,
         )

@@ -19,11 +19,9 @@ Four strategies pick k of the n relays:
   everything above; its guarantee combines the k/n rate floor
   with a capacity floor of 1/2 (k >= 2) or 1/4 (k = 1).
 
-Every strategy gets the full network's solve from :func:`_certified_capacity`.
-Past the LP guard, rational mode on exact links (iterative and
-schedule-reuse rate exact copies of float links) pins the full value when
-a two-phase schedule's rate meets the full-duplex value; so every strategy
-answers past the guard where the pin closes, and refuses elsewhere.
+Every strategy takes the full network's solve from one
+:func:`capacity._hd_capacity` call, so past the LP guard every strategy
+answers where its pin closes, and refuses elsewhere.
 
 Capacity-valued strategies report ``value_kind="capacity"``; the
 schedule-driven ones certify rates (``value_kind="rate"``), with
@@ -47,9 +45,7 @@ from .capacity import (
     _effective_guard,
     _exact_links,
     _hd_capacity,
-    _net_is_exact,
     _subnetwork_ceilings,
-    fd_capacity,
     fd_capacity_fast,
     fixed_schedule_rate,
     hd_capacity,
@@ -62,7 +58,7 @@ from .network import (
     LinkValue,
     Schedule,
     derive_natural_schedule,
-    gen_two_phase_schedule,
+    is_unbounded,
     mask_from_relays,
 )
 
@@ -150,36 +146,14 @@ def guarantee_bound(strategy: str, n: int, k: int) -> Fraction:
     return max(Fraction(k, n), floor)
 
 
-def _certified_capacity(
-    net: DiamondNetwork, arithmetic: str
-) -> tuple[CapacityResult, dict[int, LinkValue] | None]:
-    """The full network's solve behind every strategy: the game LP's result
-    and its cut mixture (see :func:`capacity._hd_capacity`).
-
-    Where the LP guard refuses, rational mode on exact links tries the
-    two-sided pin instead: a two-phase schedule's rate from below, the FD
-    capacity from above.  If they meet at a value C, the FD result carrying
-    that schedule is returned, with no mixture.  It certifies like the LP's:
-    each FD-tight cut's scheduled value is at most its FD value C and at
-    least the schedule's rate C, so the cut is tight for the schedule too.
-    Otherwise the refusal stands."""
-    try:
-        return _hd_capacity(net, arithmetic, ((), ()))
-    except GuardExceeded:
-        if arithmetic == "rational" and net.n >= 2 and _net_is_exact(net):
-            sched = gen_two_phase_schedule(net.n)
-            fd = fd_capacity(net)
-            if fixed_schedule_rate(net, sched).value == fd.value:
-                return replace(fd, optimal_schedule=sched), None
-        raise
-
-
 def _ceiling_rules_out(ceiling: LinkValue, best: LinkValue) -> bool:
     """Whether a subnetwork's ceiling shows it cannot beat the incumbent
     value ``best``.  Exact values compare strictly.  In float, a schedule's
     probabilities sum to 1 only within ``AGREE``, so a float value can sit
-    that far above its exact one, and the ceiling must fall short by more."""
-    exact = _is_exact(ceiling) and _is_exact(best)
+    that far above its exact one, and the ceiling must fall short by more.
+    An unbounded incumbent reads no slack: a finite ceiling cannot beat it,
+    and an unbounded one can only tie it."""
+    exact = is_unbounded(best) or _is_exact(ceiling) and _is_exact(best)
     return below(ceiling, best, 0 if exact else AGREE * max(1.0, abs(ceiling)))
 
 
@@ -187,7 +161,7 @@ def _best_subnetwork(
     net: DiamondNetwork,
     masks: Sequence[int],
     full: CapacityResult,
-    mixture: dict[int, LinkValue] | None,
+    mixture: dict[int, LinkValue],
     arithmetic: str,
 ) -> tuple[LinkValue, tuple[int, ...]]:
     """The largest capacity among the subnetworks of ``net`` kept by
@@ -199,13 +173,14 @@ def _best_subnetwork(
 
     With more than one mask, each gets a certified ceiling on its capacity:
     the smaller of its FD value and the bound from ``full``'s cut mixture
-    (:func:`capacity._subnetwork_ceilings`), or its FD value alone without a
-    mixture (the pin, an unbounded full value) or, in float, with a link
-    too large for float tables.  The masks are visited best first, by
-    descending ceiling (ties in the given order), and the visit stops at
-    the first ceiling below the incumbent: no later mask can win.  A solved
-    mask that ties the incumbent replaces it only when it comes earlier in
-    the given order, so the answer does not depend on the visit order.
+    (:func:`capacity._subnetwork_ceilings`), or its FD value alone when the
+    mixture is empty (the pin past the guard, an unbounded full value) or,
+    in float, with a link too large for float tables.  The masks are
+    visited best first, by descending ceiling (ties in the given order),
+    and the visit stops at the first ceiling below the incumbent: no later
+    mask can win.  A solved mask that ties the incumbent replaces it only
+    when it comes earlier in the given order, so the answer does not
+    depend on the visit order.
     """
     whole = (1 << net.n) - 1
     ceilings = [None]  # a lone mask is solved without one
@@ -278,7 +253,7 @@ def drop_worst(
     gone.update([i for i in _by_single_capacity(net) if i not in gone][: n - k - len(gone)])
     keep = sum(1 << i for i in range(n) if i not in gone)
 
-    full, mixture = _certified_capacity(net, arithmetic)
+    full, mixture = _hd_capacity(net, arithmetic, ((), ()))
     value, selected = _best_subnetwork(net, [keep], full, mixture, arithmetic)
     notes: tuple[str, ...] = ()
     if forced:
@@ -349,7 +324,7 @@ def select_k_iterative(
             raise ValueError("rational selection needs an exact schedule, got float probabilities")
         net = _exact_links(net)
     if schedule is None:
-        schedule = _certified_capacity(net, arithmetic)[0].optimal_schedule
+        schedule = _hd_capacity(net, arithmetic, ((), ()))[0].optimal_schedule
     full_rate = fixed_schedule_rate(net, schedule).value
 
     current, cur_sched = net, schedule
@@ -390,7 +365,7 @@ def select_k_exhaustive(
             f"select_k_exhaustive on {n} relays with k={k} exceeds guard {g}: "
             f"C({n},{k})*2^{k} = {cells} subnetwork cells > 2^{g}"
         )
-    full, mixture = _certified_capacity(net, arithmetic)
+    full, mixture = _hd_capacity(net, arithmetic, ((), ()))
     masks = [mask_from_relays(c, n) for c in combinations(range(1, n + 1), k)]
     value, selected = _best_subnetwork(net, masks, full, mixture, arithmetic)
     return _report("exhaustive", "capacity", k, value, full.value, selected, bound)

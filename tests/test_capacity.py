@@ -593,6 +593,67 @@ class TestHalfDuplex:
                 hd_capacity(gen_random(3, seed=0))
 
 
+class TestPinPastTheGuard:
+    """Past the relay guard, ``hd_capacity`` answers where the two-phase
+    schedule's rate meets the FD value, in either arithmetic and on exact
+    or float links, and refuses elsewhere."""
+
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        monkeypatch.setenv("HDDIAMOND_LP_GUARD", "4")
+
+    @staticmethod
+    def float_links(net):
+        return DiamondNetwork(tuple(map(float, net.uplinks)), tuple(map(float, net.downlinks)))
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_closes_on_even_worst_case(self, n):
+        # Rational mode pins the value of the links' exact values, with the
+        # two-phase schedule and FD's tight cuts; float mode returns that
+        # result rounded.  Float links of thirds hold other exact values than
+        # the family's, and the pin closes on those too.
+        net = gen_worst_case(n)
+        sched = gen_two_phase_schedule(n)
+        rounded = Schedule(n, {s: float(p) for s, p in sched.items()})
+        assert hd_capacity(net, "rational").value == 1
+        for links in (net, self.float_links(net)):
+            fd = fd_capacity(capacity._exact_links(links))
+            exact = hd_capacity(links, "rational")
+            assert exact == capacity.CapacityResult(fd.value, sched, fd.tight_cuts, "rational")
+            # Each tight cut is a minimizer of the schedule too.
+            for a in exact.tight_cuts:
+                scheduled = sum(
+                    p * cut_state_value(capacity._exact_links(links), a, s) for s, p in sched.items()
+                )
+                assert scheduled == exact.value
+            res = hd_capacity(links)
+            assert res == capacity.CapacityResult(
+                float(exact.value), rounded, exact.tight_cuts, "float"
+            )
+            assert res.value == 1.0 and isinstance(res.value, float)
+
+    def test_open_on_odd_worst_case_and_random(self):
+        for net in (gen_worst_case(5), gen_worst_case(7), gen_random(6, seed=0)):
+            for links in (net, self.float_links(net)):
+                for arithmetic in ("float", "rational"):
+                    with pytest.raises(GuardExceeded, match=f"^hd_capacity on {net.n} relays"):
+                        hd_capacity(links, arithmetic)
+
+    def test_out_of_range_seeds_raise(self):
+        for net in (gen_worst_case(6), gen_worst_case(7)):  # closed, open
+            size = 1 << net.n
+            for arithmetic in ("float", "rational"):
+                for seeds in (((size,), ()), ((), (size,)), ((-1,), ()), ((), (-1,))):
+                    with pytest.raises(ValueError, match="out of range"):
+                        hd_capacity(net, arithmetic, seeds=seeds)
+        net = gen_worst_case(6)
+        assert hd_capacity(net, seeds=((1,), (2,))) == hd_capacity(net)
+
+    def test_sparsify_returns_the_two_phase_schedule(self):
+        sched = sparsify_schedule(gen_worst_case(8))
+        assert sched.probs == {s: 0.5 for s in gen_two_phase_schedule(8).support}
+
+
 class TestUnboundedLinks:
     def test_one_relay_unbounded_downlink(self):
         # (1/2, unbounded): value is the large-capacity limit 1/2, but no
@@ -610,6 +671,34 @@ class TestUnboundedLinks:
         dual = dual_capacity(net, "rational")
         assert dual.value == UNBOUNDED
         assert dual.cut_probs == {}
+
+    def test_unbounded_certificate_has_two_states(self):
+        # All-listen and all-transmit, half each: no 2^n-state schedule, even
+        # at the guard.
+        for n in (1, 3, 16):
+            links = (UNBOUNDED,) * n
+            net = DiamondNetwork(links, links)
+            for arithmetic in ("float", "rational"):
+                res = hd_capacity(net, arithmetic)
+                assert res.value == UNBOUNDED
+                assert res.optimal_schedule.probs == {0: F(1, 2), (1 << n) - 1: F(1, 2)}
+
+    def test_unbounded_certificate_attains_the_value(self):
+        # On every net whose FD value is unbounded, the two-state schedule's
+        # rate is unbounded: against any cut, one of its states scores an
+        # unbounded link.
+        rng = random.Random(11)
+        found = 0
+        while found < 300:
+            n = rng.randint(1, 8)
+            link = lambda: UNBOUNDED if rng.random() < 0.4 else F(rng.randint(0, 9), rng.randint(1, 4))
+            net = DiamondNetwork(tuple(link() for _ in range(n)), tuple(link() for _ in range(n)))
+            if fd_capacity(net).value != UNBOUNDED:
+                continue
+            found += 1
+            sched = hd_capacity(net, "rational").optimal_schedule
+            assert len(sched.support) == 2
+            assert fixed_schedule_rate(net, sched).value == UNBOUNDED, net
 
     def test_limit_matches_large_finite_substitute(self):
         net = gen_half_tight(3)
@@ -1073,9 +1162,11 @@ class TestSubnetworkSeeds:
         assert states == tuple(sorted({restrict_mask(s, keep) for s in full.optimal_schedule.support}))
         assert cuts == tuple(sorted({restrict_mask(a, keep) for a in full.tight_cuts}))
         assert subnetwork_seeds(hd_capacity(gen_half_tight(3)), 0b011) != ((), ())
+        # An unbounded full value restricts like any other: its two-state
+        # schedule and cut 0 give only masks of the default pools.
         unbounded = hd_capacity(DiamondNetwork((UNBOUNDED, 1), (UNBOUNDED, 1)))
         assert unbounded.value == UNBOUNDED
-        assert subnetwork_seeds(unbounded, 0b01) == ((), ())
+        assert subnetwork_seeds(unbounded, 0b01) == ((0, 1), (0,))
 
 
 class TestSparsify:

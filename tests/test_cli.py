@@ -172,6 +172,30 @@ class TestCapacity:
         assert code == 3
         assert "guard:" in err
 
+    def test_pin_past_the_guard(self, capsys, tmp_path):
+        # n = 18 is past the hd_capacity guard.  The two-phase schedule's
+        # rate meets the FD value there, so both arithmetics answer 1 with
+        # that schedule; at n = 17 the pin stays open.
+        path = str(tmp_path / "worst18.json")
+        run(capsys, "generate", "--family", "worst-case", "--n", "18", "-o", path)
+        code, out, _ = run(capsys, "capacity", "--network", path, "--exact", "--emit-schedule")
+        assert code == 0
+        data = json.loads(out)
+        assert data["value"] == 1 and isinstance(data["value"], int)
+        assert data["schedule"]["states"] == [
+            {"state": "111111111000000000", "prob": 0.5},
+            {"state": "000000000111111111", "prob": 0.5},
+        ]
+        code, out, _ = run(capsys, "capacity", "--network", path)
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert value == 1.0 and isinstance(value, float)
+        path = str(tmp_path / "worst17.json")
+        run(capsys, "generate", "--family", "worst-case", "--n", "17", "-o", path)
+        code, out, err = run(capsys, "capacity", "--network", path)
+        assert (code, out) == (3, "")
+        assert err.startswith("guard: hd_capacity on 17 relays exceeds guard 16")
+
     def test_fd_mode_past_the_guard_exits_0(self, capsys, tmp_path, monkeypatch):
         # The threshold scan builds no 2^n table, so it answers at any n.
         from hddiamond import capacity, load_network, render_mask
@@ -286,6 +310,53 @@ class TestSelect:
         assert code == 0
         data = json.loads(out)
         assert (data["full_value"], data["value"], data["fraction"]) == (1, value, value)
+
+    def test_float_pin_past_the_lp_guard(self, capsys, tmp_path):
+        # Float mode pins the full value too: exhaustive k = 1 keeps a relay
+        # of capacity 5/18, rounded.
+        path = str(tmp_path / "worst18.json")
+        run(capsys, "generate", "--family", "worst-case", "--n", "18", "-o", path)
+        code, out, _ = run(capsys, "select", "--network", path, "--strategy", "exhaustive", "-k", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["selected"], data["value"], data["full_value"]) == ([5], 5 / 18, 1.0)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_exhaustive_under_an_unbounded_incumbent(self, capsys, tmp_path, exact):
+        # Relay 1 is unbounded both ways; relay 2's ceiling 10**400 is past
+        # the float range and is compared with the unbounded incumbent
+        # without a float slack.
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps({"l": ["inf", 10**400], "r": ["inf", 10**400]}))
+        argv = ("select", "--network", str(path), "-k", "1") + (("--exact",) if exact else ())
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["selected"], data["value"], data["full_value"]) == ([1], "inf", "inf")
+
+    @pytest.mark.parametrize(
+        "big_l, value", [("3/4", F(3, 4)), ("2.5", 2.5), ("1e400", 10**400), ("7", 7)]
+    )
+    def test_big_l_values(self, capsys, tmp_path, big_l, value):
+        # --big-l reads a p/q fraction, a decimal or an integer, and keeps a
+        # decimal past the float range exactly.  Relay 5 of the odd family
+        # has an unbounded uplink, so the full value moves off its limit 1.
+        from hddiamond import gen_worst_case
+
+        path = str(tmp_path / "worst5.json")
+        run(capsys, "generate", "--family", "worst-case", "--n", "5", "-o", path)
+        code, out, _ = run(
+            capsys, "select", "--network", path, "--exact", "-k", "2", "--big-l", big_l
+        )
+        assert code == 0
+        want = select_k(gen_worst_case(5, big_l=value), 2, arithmetic="rational").full_value
+        assert F(json.loads(out)["full_value"]) == want < 1
+
+    @pytest.mark.parametrize("big_l", ["1/0", "abc", "1/x"])
+    def test_bad_big_l_exits_2(self, capsys, worst4, big_l):
+        code, out, err = run(capsys, "select", "--network", worst4, "-k", "2", "--big-l", big_l)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad capacity value {big_l!r}\n"
 
     def test_exact_iterative_on_float_links(self, capsys, tmp_path):
         # Rational mode rates the float links' exact values, so the rate is

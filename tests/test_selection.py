@@ -356,7 +356,7 @@ class TestExhaustive:
         def passed(*args):
             raise Passed
 
-        monkeypatch.setattr(selection, "_certified_capacity", passed)
+        monkeypatch.setattr(selection, "_hd_capacity", passed)
 
         def allowed(n, k):
             try:
@@ -378,9 +378,9 @@ class TestExhaustive:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_pin_past_the_lp_guard(self, monkeypatch, strategy):
-        # Past the hd_capacity guard, rational mode on exact links takes the
-        # full value from the pin when the two-phase rate meets the FD value.
-        # Every strategy gets its full solve there.
+        # Past the hd_capacity guard the full value comes from the pin when
+        # the two-phase rate meets the FD value, in either arithmetic and on
+        # float links too.  Every strategy gets its full solve there.
         monkeypatch.setenv("HDDIAMOND_LP_GUARD", "4")
         value = {"worst-drop": F(3, 10), "schedule-reuse": F(7, 8), "iterative": F(1, 4),
                  "exhaustive": F(3, 10)}[strategy]
@@ -392,21 +392,22 @@ class TestExhaustive:
         rep = select(net, "rational")
         assert (rep.full_value, rep.value, rep.fraction) == (1, value, value)
         assert isinstance(rep.full_value, F)
-        # The pin stays open on odd sizes, and is not tried in float
-        # arithmetic, even where float sums would meet.
-        for sub, arithmetic in ((gen_worst_case(7), "rational"), (net, "float")):
-            with pytest.raises(GuardExceeded):
-                select(sub, arithmetic)
-        # Nor on float links; but the schedule-driven strategies rate exact
-        # copies of the links in rational mode, so the pin applies to them.
+        # The family's links are dyadic, so float links hold the same exact
+        # values and rational mode gives the same report.  Float mode gives
+        # the rational values rounded.  Only values are compared there: a
+        # float near-tie can keep another relay of equal exact capacity.
         floats = DiamondNetwork(
             tuple(map(float, net.uplinks)), tuple(map(float, net.downlinks))
         )
-        if strategy in ("worst-drop", "exhaustive"):
+        assert select(floats, "rational") == rep
+        for links in (net, floats):
+            got = select(links, "float")
+            assert (got.full_value, got.value, got.fraction) == (1.0, float(value), float(value))
+            assert isinstance(got.full_value, float)
+        # The pin stays open on odd sizes in both arithmetics.
+        for arithmetic in ("rational", "float"):
             with pytest.raises(GuardExceeded):
-                select(floats, "rational")
-        else:
-            assert select(floats, "rational") == rep
+                select(gen_worst_case(7), arithmetic)
 
     def test_pin_at_thirty_relays(self):
         # The pin's two-phase rate is one s-t min cut, not a scan over 2^30
@@ -437,15 +438,15 @@ class TestExhaustive:
         # Seeded float solves may differ from cold ones in the last bits, so
         # two subnetworks of exactly equal capacity can swap places; the
         # seeded loop on FD ceilings alone must agree to the bit.
-        real = selection._certified_capacity
-        without_ceilings = lambda net, a: (real(net, a)[0], None)
+        real = selection._hd_capacity
+        without_ceilings = lambda net, a, seeds: (real(net, a, seeds)[0], {})
         exact = lambda net, relays: hd_capacity(net.subnetwork(relays), "rational").value
         for net in self.COLD_NETS:
             n = net.n
             for k in range(1, n + 1):
                 rep = select_k_exhaustive(net, k)
                 with monkeypatch.context() as m:
-                    m.setattr(selection, "_certified_capacity", without_ceilings)
+                    m.setattr(selection, "_hd_capacity", without_ceilings)
                     assert rep == select_k_exhaustive(net, k), (net, k)
                 cold = cold_exhaustive(net, k)
                 if rep.selected != cold.selected:
@@ -484,9 +485,9 @@ class TestExhaustive:
             return len(calls) - 2 * 8 * len(nets)  # less the full and first solves
 
         pruned = solves()
-        real = selection._certified_capacity
+        real = selection._hd_capacity
         monkeypatch.setattr(
-            selection, "_certified_capacity", lambda net, a: (real(net, a)[0], None)
+            selection, "_hd_capacity", lambda net, a, seeds: (real(net, a, seeds)[0], {})
         )
         assert 0 < pruned <= solves() / 2
 
@@ -504,6 +505,21 @@ class TestExhaustive:
                 assert rep == cold_exhaustive(net, k, arithmetic), (arithmetic, k)
                 assert rep.selected[0] == 1 and rep.value == UNBOUNDED
                 assert len(calls) == 1 + (math.comb(3, k - 1) if k < 4 else 0)
+
+    def test_unbounded_incumbent_against_a_ceiling_past_the_float_range(self):
+        # Relay 1 is unbounded both ways.  Every subset without it has a
+        # finite ceiling, 10**400 for relay 2, and loses to the unbounded
+        # incumbent with no float slack: a slack scaled by a ceiling past
+        # the float range would overflow.
+        big = 10**400
+        for links in (((UNBOUNDED, big), (UNBOUNDED, big)),
+                      ((UNBOUNDED, big, 3), (UNBOUNDED, big, 2))):
+            net = DiamondNetwork(*links)
+            for arithmetic in ("float", "rational"):
+                for k in range(1, net.n):
+                    rep = select_k_exhaustive(net, k, arithmetic=arithmetic)
+                    assert rep.selected == tuple(range(1, k + 1)), (net, arithmetic, k)
+                    assert rep.value == rep.full_value == UNBOUNDED
 
     def test_fd_ceilings_without_a_mixture_on_the_pin(self, monkeypatch):
         # Past a guard of 7 the full value of gen_worst_case(8) comes from the
