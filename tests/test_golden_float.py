@@ -1,8 +1,10 @@
-"""Float ``hd_capacity``, ``select_k`` and ``sweep`` against committed outputs.
+"""Float ``hd_capacity``, ``select_k``, ``fixed_schedule_rate`` and ``sweep``
+against committed outputs.
 
 ``golden_float.json`` and ``golden_sweep/`` were written by
-``make_golden_float.py``.  Values must agree within ``AGREE * max(1, |v|)``,
-selections must come back ``==`` and the sweep CSVs byte for byte.
+``make_golden_float.py``.  Capacity values must agree within ``AGREE *
+max(1, |v|)``, selections and rates must come back ``==`` and the sweep
+CSVs byte for byte.
 """
 
 import json
@@ -16,6 +18,8 @@ from make_golden_float import (
     GOLDEN,
     SWEEP_FAMILIES,
     SWEEP_KS,
+    rate_calls,
+    record_rate,
     record_select,
     record_solve,
     select_calls,
@@ -27,6 +31,7 @@ from make_golden_float import (
 EXPECTED = json.loads(GOLDEN.read_text())
 SOLVES = solve_networks()
 SELECTS = select_calls()
+RATES = rate_calls()
 
 
 def _agrees(got, want) -> bool:
@@ -36,7 +41,8 @@ def _agrees(got, want) -> bool:
 
 def test_covers_every_call():
     assert sorted(EXPECTED) == sorted([name for name, _ in SOLVES]
-                                      + [name for name, *_ in SELECTS])
+                                      + [name for name, *_ in SELECTS]
+                                      + [name for name, *_ in RATES])
 
 
 @pytest.mark.parametrize("name,net", SOLVES, ids=[name for name, _ in SOLVES])
@@ -50,6 +56,12 @@ def test_select_matches_golden(name, net, k, strategy):
     assert got["selected"] == want["selected"]
     assert _agrees(got["value"], want["value"])
     assert _agrees(got["full_value"], want["full_value"])
+
+
+@pytest.mark.parametrize("name,net,sched", RATES, ids=[name for name, *_ in RATES])
+def test_rate_matches_golden(name, net, sched):
+    # The value and the lowest minimizing cut are both canonical.
+    assert record_rate(net, sched) == EXPECTED[name]
 
 
 @pytest.mark.parametrize("family", SWEEP_FAMILIES)
