@@ -325,10 +325,15 @@ def fixed_schedule_rate(net: DiamondNetwork, sched: Schedule) -> RateValue:
 # Estimated seconds, used only to pick the cheaper route for a float rate.
 # The float scan costs about one unit per cut and state, plus two per cut
 # for the tables and the argmin.  The flow runs on Python ints and costs
-# about one unit per relay and state (the threshold graph has up to 2nk
-# chain nodes).  Fitted on random nets with n = 3..16 and k = 1, 2, 3,
-# n/2+1, n+1 states: the flow is chosen from n = 13 / 14 / 15 for
-# k = 1 / 2 / n+1.
+# about one unit per relay and state (the threshold graph has at most 2n
+# term nodes per state).  Fitted on random nets with n = 3..16 and k = 1,
+# 2, 3, n/2+1, n+1 states: the flow is chosen from n = 13 / 14 / 15 for
+# k = 1 / 2 / n+1.  With one node per distinct term the flow measures 4-9
+# us per relay and state on one Intel Xeon core, but the scan constant is
+# high too: lowering the flow's alone would pick the flow at n = 13 with
+# k = 2 or 3, where the scan measured cheaper.  As they stand, the model's
+# route at n <= 16 was the one measured cheaper, except k = 1 at n = 11-12,
+# where the flow was cheaper by under 0.02 ms (0.05 against 0.07 ms).
 _SCAN_UNIT_S = 8e-9
 _FLOW_UNIT_S = 13e-6
 
@@ -356,13 +361,16 @@ def _flow_rate(net: DiamondNetwork, sched: Schedule, exact: bool) -> RateValue:
     first, and merge ties: with ``v_1 > v_2 > ... > v_m > 0`` the distinct
     positive values and ``v_{m+1} = 0``, the first term is the sum over t of
     ``p * (v_t - v_{t+1})`` times [A meets the top t groups].  Each such
-    indicator is a source edge into a chain node that reaches the t-th
-    group's relays and the previous chain node by unbounded edges, so a
-    relay on the sink side (in A) drags the chain node of its own group and
-    every later one to the sink side too.  The downlink term is the mirror
-    image toward the sink.  Cut A's value is then the least capacity of a
-    graph cut with sink-side relays A, so the minimal sink side of a
-    minimum cut gives the lowest minimizing mask.
+    threshold term is one node: a source edge of its weight into it, and
+    unbounded edges from it to the relays of the top t groups, so a relay
+    on the sink side (in A) drags every term that holds it to the sink side
+    too (the standard graph of such terms: Kolmogorov & Zabih, TPAMI 2004).
+    Equal terms of different states are one node, their weights summed.
+    The downlink term is the mirror image toward the sink.  Cut A's value
+    is then the least capacity of a graph cut with sink-side relays A, so
+    the minimal sink side of a minimum cut gives the lowest minimizing mask.
+    Every augmenting path runs source, term, relay, term, sink, plus
+    residual detours, so Dinic needs few phases.
 
     The flow runs once, in either arithmetic, on Python ints: the links and
     the probabilities are scaled by the lcm of their denominators, which is
@@ -387,33 +395,41 @@ def _min_cut(
     items: Sequence[tuple[int, LinkValue]],
 ) -> tuple[LinkValue, int]:
     """(max-flow value, lowest minimizing cut mask) of the threshold graph
-    of :func:`_flow_rate`: node 0 is the source, node 1 the sink and relay
-    k is node k + 2."""
-    g = FlowGraph(n + 2)
-    reverse = lambda u, v, c: g.add_edge(v, u, c)
-    chains = (
-        (0, sorted(range(n), key=up.__getitem__, reverse=True), up, g.add_edge),
-        # The downlink chain is the mirror image: every edge reversed, and
-        # the sink in place of the source.
-        (1, sorted(range(n), key=down.__getitem__, reverse=True), down, reverse),
+    of :func:`_flow_rate`: node 0 is the source, node 1 the sink, relay k is
+    node k + 2, and each distinct threshold term is one node after those."""
+    # Per side, {relay mask of a term: [summed weight, its relays]}; equal
+    # terms of different states share one entry.
+    terms: tuple[dict, dict] = ({}, {})
+    sides = (
+        (up, sorted(range(n), key=up.__getitem__, reverse=True), terms[0]),
+        (down, sorted(range(n), key=down.__getitem__, reverse=True), terms[1]),
     )
     for s, p in items:
-        for end, order, links, add in chains:
-            # Listening relays (bit clear) on the source side, transmitting
-            # relays (bit set) on the sink side, highest link first.
-            members = [k for k in order if (s >> k & 1) == end and links[k] > 0]
-            prev = None
-            i = 0
+        for side, (links, order, weights) in enumerate(sides):
+            # Listening relays (bit clear) on the uplink side, transmitting
+            # relays (bit set) on the downlink side, highest link first.
+            members = [k for k in order if (s >> k & 1) == side and links[k] > 0]
+            mask = i = 0
             while i < len(members):
                 v = links[members[i]]
-                node = g.add_node()
                 while i < len(members) and links[members[i]] == v:
-                    add(node, members[i] + 2, UNBOUNDED)
+                    mask |= 1 << members[i]
                     i += 1
-                add(end, node, p * (v - (links[members[i]] if i < len(members) else 0)))
-                if prev is not None:
-                    add(node, prev, UNBOUNDED)
-                prev = node
+                w = p * (v - (links[members[i]] if i < len(members) else 0))
+                weights.setdefault(mask, [0, members[:i]])[0] += w
+    g = FlowGraph(n + 2)
+    for weight, relays in terms[0].values():
+        node = g.add_node()
+        g.add_edge(0, node, weight)
+        for k in relays:
+            g.add_edge(node, k + 2, UNBOUNDED)
+    # The downlink terms are the mirror image: every edge reversed, and the
+    # sink in place of the source.
+    for weight, relays in terms[1].values():
+        node = g.add_node()
+        g.add_edge(node, 1, weight)
+        for k in relays:
+            g.add_edge(k + 2, node, UNBOUNDED)
     value, sink_side = max_flow(g, 0, 1)
     return value, sum(1 << k for k in range(n) if sink_side[k + 2])
 
@@ -661,16 +677,18 @@ def hd_capacity(
     ``[0, 2**n)`` raises ``ValueError``.
 
     The relay guard caps the relay count of the game (16, or the
-    HDDIAMOND_LP_GUARD environment variable).  Past it, the *pin* may still
-    certify the value, in either arithmetic and on any links: on the exact
-    values of the links, the rate of :func:`gen_two_phase_schedule` (one
-    s-t min cut) is a floor and the FD capacity a ceiling.  When the two
-    are equal, that is the value, the two-phase schedule is returned (in
-    float mode, rounded), and ``tight_cuts`` are FD's threshold cuts at the
-    minimum.  Each of those cuts' scheduled value lies between the rate and
-    its FD value, which are equal, so they are a subset of the schedule's
-    minimizing cuts.  When the two differ, raise :class:`GuardExceeded`
-    instead of grinding.  Seeds are checked past the guard too, then unused.
+    HDDIAMOND_LP_GUARD environment variable).  Past it, a network whose FD
+    value is unbounded answers ``UNBOUNDED`` with the same two-state
+    certificate as below it.  Otherwise the *pin* may still certify the
+    value, in either arithmetic and on any links: on the exact values of the
+    links, the rate of :func:`gen_two_phase_schedule` (one s-t min cut) is
+    a floor and the FD capacity a ceiling.  When the two are equal, that is
+    the value, the two-phase schedule is returned (in float mode, rounded),
+    and ``tight_cuts`` are FD's threshold cuts at the minimum.  Each of
+    those cuts' scheduled value lies between the rate and its FD value,
+    which are equal, so they are a subset of the schedule's minimizing
+    cuts.  When the two differ, raise :class:`GuardExceeded` instead of
+    grinding.  Seeds are checked past the guard too, then unused.
     """
     return _hd_capacity(net, arithmetic, seeds)[0]
 
@@ -691,6 +709,8 @@ def _hd_capacity(
     if n > g:
         links, sched = _exact_links(net), gen_two_phase_schedule(n)
         fd = fd_capacity(links)
+        if fd.value == UNBOUNDED:
+            return _unbounded(n, arithmetic), {}
         if fixed_schedule_rate(links, sched).value != fd.value:
             raise GuardExceeded(f"hd_capacity on {n} relays exceeds guard {g}")
         res = replace(fd, optimal_schedule=sched)
@@ -804,6 +824,19 @@ def _as_float(res: CapacityResult) -> CapacityResult:
     )
 
 
+def _unbounded(n: int, arithmetic: str) -> CapacityResult:
+    """The result for a network on which every cut has infinite FD value, so
+    that the HD value is infinite too.  Half on all-listen and half on
+    all-transmit certifies it: against cut A they score maxl[A] and
+    maxr[~A], and one of the two is infinite."""
+    return CapacityResult(
+        value=UNBOUNDED,
+        optimal_schedule=Schedule(n, {0: Fraction(1, 2), (1 << n) - 1: Fraction(1, 2)}),
+        tight_cuts=(0,),
+        arithmetic=arithmetic,
+    )
+
+
 def _solve(
     net: DiamondNetwork,
     exact: bool,
@@ -832,17 +865,7 @@ def _solve(
     maxl, maxr, scale = _tables(net, exact)
     kept = (maxl + maxr[::-1]) != UNBOUNDED
     if not kept.any():
-        # Every cut has infinite FD value, so the HD value is infinite too.
-        # Half on all-listen and half on all-transmit certifies it: against
-        # cut A they score maxl[A] and maxr[~A], and one of the two is
-        # infinite.
-        unbounded = CapacityResult(
-            value=UNBOUNDED,
-            optimal_schedule=Schedule(n, {0: Fraction(1, 2), size - 1: Fraction(1, 2)}),
-            tight_cuts=(0,),
-            arithmetic=arith,
-        )
-        return unbounded, {}
+        return _unbounded(n, arith), {}
 
     # A best response joins its pool only when it beats the current
     # mixture's value by more than this; the loop's own threshold.

@@ -4,6 +4,11 @@
   tables and the cut scan on plain values, ``Fraction`` or float, with no
   integer scale: the reference the library's integer scans are checked
   against.
+* :func:`chain_min_cut` is the s-t min cut of a fixed schedule's rate on a
+  graph with one chain of nodes per state and side, the construction
+  :func:`hddiamond.capacity._min_cut` replaced by one node per distinct
+  threshold term: the same cut function on other nodes and paths, so the
+  two flows must agree on the value and the lowest minimizing cut.
 * :func:`dual_capacity` is the adversary's side of the scheduling game,
   solved as one LP over the full payoff matrix.  It is an independent route
   to the number :func:`hddiamond.hd_capacity` computes by strategy
@@ -58,6 +63,7 @@ from hddiamond.capacity import (
     _normalized_floor_lp,
     _unit_scaled,
 )
+from hddiamond.flow import FlowGraph, max_flow
 from hddiamond.selection import _ratio
 from hddiamond.simplex import _TOL
 
@@ -104,6 +110,49 @@ def reference_scan(
         p = Fraction(p) if maxl.dtype == object else float(p)
         acc = acc + (maxl[cuts & (size - 1 - s)] + maxr[s & (size - 1 - cuts)]) * p
     return acc
+
+
+def chain_min_cut(
+    n: int,
+    up: Sequence[LinkValue],
+    down: Sequence[LinkValue],
+    items: Sequence[tuple[int, LinkValue]],
+) -> tuple[LinkValue, int]:
+    """(max-flow value, lowest minimizing cut mask) on the chain graph, with
+    the arguments of :func:`hddiamond.capacity._min_cut`: node 0 is the
+    source, node 1 the sink and relay k is node k + 2.
+
+    Per state, a chain runs over the listening relays in descending uplink
+    order, ties merged into one group.  The t-th chain node has a source
+    edge of weight ``p * (v_t - v_{t+1})`` and unbounded edges to the t-th
+    group's relays and to the previous chain node, so a sink-side relay
+    drags its own group's node and every later one to the sink side.  The
+    downlink chain over the transmitting relays is the mirror image toward
+    the sink.
+    """
+    g = FlowGraph(n + 2)
+    reverse = lambda u, v, c: g.add_edge(v, u, c)
+    chains = (
+        (0, sorted(range(n), key=up.__getitem__, reverse=True), up, g.add_edge),
+        (1, sorted(range(n), key=down.__getitem__, reverse=True), down, reverse),
+    )
+    for s, p in items:
+        for end, order, links, add in chains:
+            members = [k for k in order if (s >> k & 1) == end and links[k] > 0]
+            prev = None
+            i = 0
+            while i < len(members):
+                v = links[members[i]]
+                node = g.add_node()
+                while i < len(members) and links[members[i]] == v:
+                    add(node, members[i] + 2, UNBOUNDED)
+                    i += 1
+                add(end, node, p * (v - (links[members[i]] if i < len(members) else 0)))
+                if prev is not None:
+                    add(node, prev, UNBOUNDED)
+                prev = node
+    value, sink_side = max_flow(g, 0, 1)
+    return value, sum(1 << k for k in range(n) if sink_side[k + 2])
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from hddiamond import (
 )
 from hddiamond.flow import FlowGraph, max_flow
 from oracles import (
+    chain_min_cut,
     dense_fd_capacity,
     dual_capacity,
     fd_mismatch,
@@ -203,12 +204,12 @@ class TestFlowRateMatchesScan:
         return capacity._flow_rate(net, sched, exact)
 
     @staticmethod
-    def draw(rng, n, links, exact):
+    def draw(rng, n, links, exact, max_states=None):
         net = DiamondNetwork(
             tuple(rng.choice(links) for _ in range(n)),
             tuple(rng.choice(links) for _ in range(n)),
         )
-        states = rng.sample(range(1 << n), rng.randint(1, min(1 << n, n + 1)))
+        states = rng.sample(range(1 << n), rng.randint(1, max_states or min(1 << n, n + 1)))
         weights = [rng.randint(1, 4) for _ in states]
         if exact:
             probs = [F(w, sum(weights)) for w in weights]
@@ -245,6 +246,40 @@ class TestFlowRateMatchesScan:
         for n in range(2, 13):
             for net in (gen_worst_case(n), gen_half_tight(n)):
                 self.assert_exact_match(net, gen_two_phase_schedule(n))
+
+    def test_dense_schedules(self):
+        # Up to 2^n states, and the uniform schedule over all of them: many
+        # states share a threshold term, which the min cut sums into one node.
+        rng = random.Random(12)
+        alphabets = ((self.EXACT_LINKS, True, self.assert_exact_match),
+                     (self.FLOAT_LINKS, False, self.assert_float_match),
+                     (self.WIDE_LINKS, False, self.assert_float_match))
+        for n in range(1, 8):
+            for links, exact, assert_match in alphabets:
+                for _ in range(3):
+                    assert_match(*self.draw(rng, n, links, exact, max_states=1 << n))
+                net, _ = self.draw(rng, n, links, exact)
+                assert_match(net, Schedule.uniform(n))
+
+    def test_property_matches_chain_graph(self):
+        # The term graph against the chain graph of the oracles, the same
+        # cut function on other nodes, on the scaled integer inputs and at
+        # sizes the 2^n reference scan cannot reach.
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=200, deadline=None, derandomize=True)
+        @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20),
+                   alphabet=st.sampled_from((self.EXACT_LINKS, self.WIDE_LINKS)))
+        def check(seed, n, alphabet):
+            rng = random.Random(seed)
+            links, _ = capacity._scaled_links([rng.choice(alphabet) for _ in range(2 * n)])
+            states = rng.sample(range(1 << n), rng.randint(1, n + 1))
+            items = [(s, rng.randint(1, 4)) for s in states]
+            want = chain_min_cut(n, links[:n], links[n:], items)
+            assert capacity._min_cut(n, links[:n], links[n:], items) == want
+
+        check()
 
     def test_all_unbounded(self):
         for n in (1, 3, 6):
@@ -648,6 +683,24 @@ class TestPinPastTheGuard:
                         hd_capacity(net, arithmetic, seeds=seeds)
         net = gen_worst_case(6)
         assert hd_capacity(net, seeds=((1,), (2,))) == hd_capacity(net)
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_unbounded_fd_value_answers_inf(self, n, monkeypatch):
+        # At the default guard.  Every cut of the net meets relay n, which is
+        # unbounded both ways, so the HD value is infinite: both arithmetics
+        # answer it with the two-state certificate of an unbounded solve
+        # below the guard, at odd n (where the pin stays open) and at even n.
+        monkeypatch.delenv("HDDIAMOND_LP_GUARD")
+        net = gen_random(n, 0)
+        net = DiamondNetwork(net.uplinks[:-1] + (UNBOUNDED,), net.downlinks[:-1] + (UNBOUNDED,))
+        for arithmetic in ("float", "rational"):
+            res = hd_capacity(net, arithmetic)
+            assert res == capacity.CapacityResult(
+                UNBOUNDED, Schedule(n, {0: F(1, 2), (1 << n) - 1: F(1, 2)}), (0,), arithmetic
+            )
+            assert fixed_schedule_rate(net, res.optimal_schedule).value == UNBOUNDED
+        with pytest.raises(GuardExceeded, match=f"^hd_capacity on {n} relays"):
+            hd_capacity(gen_random(n, 0))
 
     def test_sparsify_returns_the_two_phase_schedule(self):
         sched = sparsify_schedule(gen_worst_case(8))

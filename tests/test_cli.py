@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hddiamond import cli
+from hddiamond import cli, gen_random
 from hddiamond.cli import main
 from hddiamond.selection import STRATEGIES, SelectionReport, select_k
 from oracles import dense_fd_capacity, is_threshold_cut
@@ -195,6 +195,16 @@ class TestCapacity:
         code, out, err = run(capsys, "capacity", "--network", path)
         assert (code, out) == (3, "")
         assert err.startswith("guard: hd_capacity on 17 relays exceeds guard 16")
+
+    def test_unbounded_fd_value_past_the_guard_exits_0(self, capsys, tmp_path):
+        # Relay 17 is unbounded both ways, so every cut has infinite FD value.
+        net = gen_random(17, 0)
+        path = tmp_path / "unbounded17.json"
+        path.write_text(json.dumps({"l": list(net.uplinks[:-1]) + ["inf"],
+                                    "r": list(net.downlinks[:-1]) + ["inf"]}))
+        code, out, _ = run(capsys, "capacity", "--network", str(path), "--exact")
+        assert code == 0
+        assert json.loads(out)["value"] == "inf"
 
     def test_fd_mode_past_the_guard_exits_0(self, capsys, tmp_path, monkeypatch):
         # The threshold scan builds no 2^n table, so it answers at any n.
